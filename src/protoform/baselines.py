@@ -26,6 +26,11 @@ class UnsupportedOperation(BaselineError):
     pass
 
 
+def _mode(counts: dict):
+    """The most frequent key; ties break to the smallest."""
+    return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+
+
 def random_daughter(cs: CognateSet, seed: int) -> Word:
     """A uniformly chosen attested daughter form, verbatim.
 
@@ -107,8 +112,7 @@ def majority_constituent(train: Dataset, cs: CognateSet) -> Word:
             key = "".join(part)
             counts[key] = counts.get(key, 0) + 1
             tokens_of.setdefault(key, part)
-        best = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-        out.extend(tokens_of[best])
+        out.extend(tokens_of[_mode(counts)])
     if not out:
         raise BaselineError(f"majority constituents are all empty in set {cs.set_id!r}")
     return tuple(out)
@@ -159,8 +163,21 @@ def _consensus(columns_rows: list) -> list:
             s = row[j]
             if s != GAP:
                 counts[s] = counts.get(s, 0) + 1
-        cons.append(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0])
+        cons.append(_mode(counts))
     return cons
+
+
+def _merge(rows: list, word: Word) -> list:
+    """Align `word` against the consensus of `rows`; a gap on the consensus
+    side opens a gap column in every earlier row.  Returns the word's row."""
+    new_row: list = []
+    pairs = nw_align(tuple(_consensus(rows)), tuple(word), _class_cost)
+    for col, (c_sym, tok) in enumerate(pairs):
+        if c_sym is None:
+            for row in rows:
+                row.insert(col, GAP)
+        new_row.append(GAP if tok is None else tok)
+    return new_row
 
 
 def _progressive(ordered_words: list) -> list:
@@ -169,23 +186,7 @@ def _progressive(ordered_words: list) -> list:
     input order."""
     rows = [list(ordered_words[0])]
     for word in ordered_words[1:]:
-        cons = _consensus(rows)
-        pairs = nw_align(tuple(cons), tuple(word), _class_cost)
-        new_row: list = []
-        col = 0
-        for c_sym, w_tok in pairs:
-            if c_sym is None:
-                for row in rows:
-                    row.insert(col, GAP)
-                new_row.append(w_tok)
-                col += 1
-            elif w_tok is None:
-                new_row.append(GAP)
-                col += 1
-            else:
-                new_row.append(w_tok)
-                col += 1
-        rows.append(new_row)
+        rows.append(_merge(rows, word))
     return rows
 
 
@@ -205,22 +206,7 @@ def align_cognates(ds: Dataset) -> AlignedSiteMatrix:
     out = []
     for cs in ds.sets:
         aset = align_daughters(cs, lang_index)
-        daughter_rows = list(aset.rows.values())
-        cons = _consensus(daughter_rows)
-        pairs = nw_align(tuple(cons), cs.proto, _class_cost)
-        proto_row: list = []
-        col = 0
-        for c_sym, p_tok in pairs:
-            if c_sym is None:
-                for row in daughter_rows:
-                    row.insert(col, GAP)
-                proto_row.append(p_tok)
-            elif p_tok is None:
-                proto_row.append(GAP)
-            else:
-                proto_row.append(p_tok)
-            col += 1
-        aset.proto_row = proto_row
+        aset.proto_row = _merge(list(aset.rows.values()), cs.proto)
         out.append(aset)
     return AlignedSiteMatrix(out, list(ds.languages), ds.proto_name)
 
@@ -260,7 +246,7 @@ def column_features(aset: AlignedSet, col: int, cfg: ContextConfig) -> frozenset
         for _, row in aset.rows.items():
             if row[col] != GAP:
                 counts[token_class(row[col])] = counts.get(token_class(row[col]), 0) + 1
-        cls = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0] if counts else "gap"
+        cls = _mode(counts) if counts else "gap"
         atoms.append(("str", cls))
     if cfg.use_ini:
         if col == 0:
@@ -286,14 +272,10 @@ class PatternClassifier:
             self.patterns.setdefault(atoms, {})
             self.patterns[atoms][label] = self.patterns[atoms].get(label, 0) + 1
 
-    @staticmethod
-    def _majority(counts: dict) -> str:
-        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-
     def predict(self, atoms: frozenset) -> str:
         hit = self.patterns.get(atoms)
         if hit is not None:
-            return self._majority(hit)
+            return _mode(hit)
         best_d, merged = None, {}
         for key, counts in self.patterns.items():
             d = len(key ^ atoms)
@@ -302,15 +284,14 @@ class PatternClassifier:
             elif d == best_d:
                 for label, c in counts.items():
                     merged[label] = merged.get(label, 0) + c
-        return self._majority(merged)
+        return _mode(merged)
 
     def dump(self) -> str:
         lines = [f"pattern-classifier features={self.cfg}"]
         for key in sorted(self.patterns, key=sorted):
             counts = self.patterns[key]
             feats = " ".join(":".join(map(str, a)) for a in sorted(key))
-            label = max(counts.items(), key=lambda kv: kv[1])[0]
-            lines.append(f"{label}\t{feats}")
+            lines.append(f"{_mode(counts)}\t{feats}")
         return "\n".join(lines) + "\n"
 
 

@@ -76,7 +76,10 @@ def transformer_config_from(args, cp) -> T.TransformerConfig:
             if key not in T.TransformerConfig.__dataclass_fields__:
                 raise CliInputError(f"unknown [transformer] option {key!r}")
             kind = T.TransformerConfig.__dataclass_fields__[key].type
-            fields[key] = float(raw) if kind == "float" else int(raw)
+            try:
+                fields[key] = float(raw) if kind == "float" else int(raw)
+            except ValueError:
+                raise CliInputError(f"[transformer] {key} = {raw!r} is not a valid {kind}")
         try:
             cfg = replace(cfg, **fields)
         except ValueError as exc:
@@ -196,7 +199,12 @@ def _load_trained(checkpoint_dir: str, seeds) -> list:
         prefix = os.path.join(checkpoint_dir, f"seed{seed}")
         if not os.path.exists(prefix + ".ckpt"):
             raise CliInputError(f"checkpoint not found: {prefix}.ckpt")
-        out.append(T.TrainedModel.load(prefix))
+        try:
+            out.append(T.TrainedModel.load(prefix))
+        except KeyError as exc:
+            raise CliInputError(f"cannot load {prefix}: missing entry {exc}")
+        except (E.EngineError, ValueError, TypeError) as exc:
+            raise CliInputError(f"cannot load {prefix}: {exc}")
     return out
 
 

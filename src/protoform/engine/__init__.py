@@ -7,7 +7,6 @@ from .ops import (
     OP_KINDS,
     add,
     apply,
-    concat,
     cross_entropy,
     dropout,
     embedding_lookup,
@@ -18,7 +17,6 @@ from .ops import (
     relu,
     reshape,
     scale,
-    slice_,
     softmax,
     sum_,
     transpose,
@@ -39,9 +37,9 @@ from .tensor import (
 __all__ = [
     "AdamState", "DetRng", "EngineError", "EPSILON", "OP_KINDS", "ScheduleCfg",
     "ShapeError", "Tensor", "TOLERANCE", "adam_step", "add", "apply", "backward",
-    "concat", "cross_entropy", "default_dtype", "dropout", "embedding_lookup",
-    "grad_check", "layer_norm", "load_checkpoint", "lr_at", "masked_fill",
-    "matmul", "mix64", "mul", "no_grad", "philox", "relu", "reshape", "run_suite",
-    "save_checkpoint", "scale", "set_default_dtype", "slice_", "softmax",
-    "stable_hash", "sum_", "transpose", "zero_grads",
+    "cross_entropy", "default_dtype", "dropout", "embedding_lookup", "grad_check",
+    "layer_norm", "load_checkpoint", "lr_at", "masked_fill", "matmul", "mix64",
+    "mul", "no_grad", "philox", "relu", "reshape", "run_suite", "save_checkpoint",
+    "scale", "set_default_dtype", "softmax", "stable_hash", "sum_", "transpose",
+    "zero_grads",
 ]

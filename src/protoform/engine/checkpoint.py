@@ -43,16 +43,27 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     if not sep:
         raise EngineError(f"checkpoint {path}: missing manifest terminator")
     payload = raw[len(head) + len(sep):]
-    lines = head.decode("ascii").splitlines()
+    try:
+        lines = head.decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        raise EngineError(f"checkpoint {path}: manifest is not ASCII")
     if not lines or lines[0] != MAGIC:
         raise EngineError(f"checkpoint {path}: bad magic")
     out: dict[str, np.ndarray] = {}
     for line in lines[1:]:
-        kind, name, shape_s, offset_s, count_s = line.split(" ")
-        if kind != "tensor":
+        try:
+            kind, name, shape_s, offset_s, count_s = line.split(" ")
+            shape = () if shape_s == "scalar" else tuple(int(d) for d in shape_s.split(","))
+            offset, count = int(offset_s), int(count_s)
+        except ValueError:
+            raise EngineError(f"checkpoint {path}: malformed manifest line {line!r}")
+        if kind != "tensor" or min(shape + (offset, count)) < 0 or int(np.prod(shape)) != count:
             raise EngineError(f"checkpoint {path}: unexpected manifest line {line!r}")
-        shape = () if shape_s == "scalar" else tuple(int(d) for d in shape_s.split(","))
-        offset, count = int(offset_s), int(count_s)
+        if offset + 8 * count > len(payload):
+            raise EngineError(
+                f"checkpoint {path}: tensor {name!r} runs past the end of the "
+                f"{len(payload)}-byte payload (truncated file?)"
+            )
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         out[name] = arr.reshape(shape).copy()
     return out

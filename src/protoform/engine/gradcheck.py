@@ -27,10 +27,6 @@ def _case(kind: str, seed: int):
         return [t(3, 4), t(3, 1)], {}
     if kind == "scale":
         return [t(5)], {"s": 1.7}
-    if kind == "concat":
-        return [t(2, 3), t(1, 3)], {"axis": 0}
-    if kind == "slice":
-        return [t(4, 5)], {"key": (slice(1, 3), slice(0, 4))}
     if kind == "reshape":
         return [t(2, 6)], {"shape": (3, 4)}
     if kind == "transpose":

@@ -94,37 +94,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return make_node(a.data * s, "scale", (a,), bwd)
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat: empty input list")
-    try:
-        out = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError:
-        raise ShapeError(f"concat: shapes {[t.data.shape for t in tensors]} on axis {axis}")
-    sizes = [t.data.shape[axis] for t in tensors]
-    edges = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        for t, piece in zip(tensors, np.split(g, edges, axis=axis)):
-            accumulate(t, piece)
-
-    return make_node(out, "concat", tuple(tensors), bwd)
-
-
-def slice_(a: Tensor, key) -> Tensor:
-    """Basic slicing only (slices and ints); the backward pass scatters."""
-    a = _as_tensor(a)
-    out = a.data[key]
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[key] = g
-        accumulate(a, full)
-
-    return make_node(np.ascontiguousarray(out), "slice", (a,), bwd)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     a = _as_tensor(a)
     try:
@@ -296,9 +265,9 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 OP_KINDS = (
-    "matmul", "add", "mul", "scale", "concat", "slice", "reshape", "transpose",
-    "embedding_lookup", "softmax", "layer_norm", "relu", "dropout",
-    "masked_fill", "cross_entropy", "sum",
+    "matmul", "add", "mul", "scale", "reshape", "transpose", "embedding_lookup",
+    "softmax", "layer_norm", "relu", "dropout", "masked_fill", "cross_entropy",
+    "sum",
 )
 
 _DISPATCH = {
@@ -306,8 +275,6 @@ _DISPATCH = {
     "add": add,
     "mul": mul,
     "scale": scale,
-    "concat": concat,
-    "slice": slice_,
     "reshape": reshape,
     "transpose": transpose,
     "embedding_lookup": embedding_lookup,
@@ -325,7 +292,4 @@ def apply(kind: str, inputs, **attrs) -> Tensor:
     """Uniform dispatcher over the operator set (used by the grad-check CLI)."""
     if kind not in _DISPATCH:
         raise EngineError(f"unknown op kind {kind!r}")
-    fn = _DISPATCH[kind]
-    if kind == "concat":
-        return fn(inputs, **attrs)
-    return fn(*inputs, **attrs)
+    return _DISPATCH[kind](*inputs, **attrs)

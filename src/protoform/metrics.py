@@ -24,21 +24,36 @@ class MetricsError(Exception):
 GAP = "\x00-"  # reserved gap label for alignment sites; never a surface token
 
 
+def _unit_cost(x, y) -> int:
+    return 0 if x == y else 1
+
+
+def _cost_table(a: Word, b: Word, sub_cost, gap_cost: float = 1.0) -> list:
+    """D[i][j]: minimal cost of aligning a[:i] with b[:j].
+
+    The one alignment DP in the package; every distance and alignment
+    below reads its answer off this table.
+    """
+    m, n = len(a), len(b)
+    D = [[0.0] * (n + 1) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        D[i][0] = D[i - 1][0] + gap_cost
+    for j in range(1, n + 1):
+        D[0][j] = D[0][j - 1] + gap_cost
+    for i in range(1, m + 1):
+        up, row, ai = D[i - 1], D[i], a[i - 1]
+        for j in range(1, n + 1):
+            row[j] = min(
+                up[j - 1] + sub_cost(ai, b[j - 1]),
+                up[j] + gap_cost,
+                row[j - 1] + gap_cost,
+            )
+    return D
+
+
 def edit_distance(a: Word, b: Word) -> int:
     """Levenshtein distance over tokens with unit costs."""
-    m, n = len(a), len(b)
-    prev = list(range(n + 1))
-    for i in range(1, m + 1):
-        cur = [i] + [0] * n
-        ai = a[i - 1]
-        for j in range(1, n + 1):
-            cur[j] = min(
-                prev[j - 1] + (ai != b[j - 1]),
-                prev[j] + 1,
-                cur[j - 1] + 1,
-            )
-        prev = cur
-    return prev[n]
+    return int(_cost_table(a, b, _unit_cost)[len(a)][len(b)])
 
 
 def nw_align(a: Word, b: Word, sub_cost, gap_cost: float = 1.0):
@@ -48,21 +63,9 @@ def nw_align(a: Word, b: Word, sub_cost, gap_cost: float = 1.0):
     broken deterministically: diagonal first (match/substitution), then
     consuming from `a` (deletion), then from `b` (insertion).
     """
-    m, n = len(a), len(b)
-    D = [[0.0] * (n + 1) for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        D[i][0] = D[i - 1][0] + gap_cost
-    for j in range(1, n + 1):
-        D[0][j] = D[0][j - 1] + gap_cost
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            D[i][j] = min(
-                D[i - 1][j - 1] + sub_cost(a[i - 1], b[j - 1]),
-                D[i - 1][j] + gap_cost,
-                D[i][j - 1] + gap_cost,
-            )
+    D = _cost_table(a, b, sub_cost, gap_cost)
     cols = []
-    i, j = m, n
+    i, j = len(a), len(b)
     while i > 0 or j > 0:
         if i > 0 and j > 0 and D[i][j] == D[i - 1][j - 1] + sub_cost(a[i - 1], b[j - 1]):
             cols.append((a[i - 1], b[j - 1]))
@@ -89,18 +92,12 @@ class ErrorBreakdown:
         return self.substitutions + self.insertions + self.deletions
 
 
-def error_breakdown(preds, golds) -> ErrorBreakdown:
-    """Tally edit operations transforming each prediction into its gold.
-
-    One optimal alignment per pair; ties prefer substitution over deletion
-    over insertion, so the tally is deterministic.
-    """
-    if not preds or len(preds) != len(golds):
-        raise MetricsError("error_breakdown needs nonempty lists of equal length")
+def _tally(alignments) -> ErrorBreakdown:
+    """Edit operations read off unit-cost (pred, gold) alignment columns."""
     subs = ins = dels = 0
     pair_counts: dict = {}
-    for pred, gold in zip(preds, golds):
-        for pa, ga in nw_align(pred, gold, lambda x, y: 0 if x == y else 1):
+    for cols in alignments:
+        for pa, ga in cols:
             if pa is None:
                 ins += 1
             elif ga is None:
@@ -110,6 +107,17 @@ def error_breakdown(preds, golds) -> ErrorBreakdown:
                 pair_counts[(pa, ga)] = pair_counts.get((pa, ga), 0) + 1
     ranked = tuple(sorted(pair_counts.items(), key=lambda kv: (-kv[1], kv[0])))
     return ErrorBreakdown(subs, ins, dels, ranked)
+
+
+def error_breakdown(preds, golds) -> ErrorBreakdown:
+    """Tally edit operations transforming each prediction into its gold.
+
+    One optimal alignment per pair; ties prefer substitution over deletion
+    over insertion, so the tally is deterministic.
+    """
+    if not preds or len(preds) != len(golds):
+        raise MetricsError("error_breakdown needs nonempty lists of equal length")
+    return _tally(nw_align(p, g, _unit_cost) for p, g in zip(preds, golds))
 
 
 class FeatureTable:
@@ -201,17 +209,9 @@ def feature_error_rate(pred: Word, gold: Word, ft: FeatureTable) -> float:
             return 0.0
         return float(np.count_nonzero(ft.lookup(x) != ft.lookup(y))) / ft.F
 
-    m, n = len(pred), len(gold)
-    prev = [float(j) for j in range(n + 1)]
-    for i in range(1, m + 1):
-        cur = [float(i)] + [0.0] * n
-        for j in range(1, n + 1):
-            cur[j] = min(prev[j - 1] + sub(pred[i - 1], gold[j - 1]),
-                         prev[j] + 1.0, cur[j - 1] + 1.0)
-        prev = cur
-    if n == 0:
+    if not gold:
         raise MetricsError("feature_error_rate: empty gold word")
-    return prev[n] / n
+    return _cost_table(pred, gold, sub)[len(pred)][len(gold)] / len(gold)
 
 
 def _occurrence_structure(word: Word):
@@ -268,7 +268,9 @@ def evaluate(preds, golds, ft: FeatureTable | None = None) -> MetricsReport:
     """Score a prediction set against its gold protoforms."""
     if not preds or len(preds) != len(golds):
         raise MetricsError("evaluate needs nonempty lists of equal length")
-    dists = [edit_distance(p, g) for p, g in zip(preds, golds)]
+    # unit-cost alignments: a pair's PED is its count of non-matching columns
+    alignments = [nw_align(p, g, _unit_cost) for p, g in zip(preds, golds)]
+    dists = [sum(pa != ga for pa, ga in cols) for cols in alignments]
     ped = sum(dists) / len(dists)
     nped = sum(d / len(g) for d, g in zip(dists, golds)) / len(dists)
     accuracy = 100.0 * sum(d == 0 for d in dists) / len(dists)
@@ -281,6 +283,6 @@ def evaluate(preds, golds, ft: FeatureTable | None = None) -> MetricsReport:
         accuracy=accuracy,
         fer=fer,
         bcfs=bcubed_f(preds, golds),
-        breakdown=error_breakdown(preds, golds),
+        breakdown=_tally(alignments),
         n=len(preds),
     )

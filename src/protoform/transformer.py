@@ -18,8 +18,7 @@ import numpy as np
 from . import engine as E
 from .corpus import (
     BOS_ID, EOS_ID, PAD_ID, UNK_ID,
-    Dataset, EncodedExample, LanguageId, Vocabulary, Word,
-    encode_cognate_set, encode_dataset,
+    Dataset, LanguageId, Vocabulary, encode_dataset,
 )
 from .engine.rng import DetRng, mix64, philox
 from .engine.optim import AdamState, ScheduleCfg, adam_step, lr_at
@@ -44,6 +43,16 @@ class TransformerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d_model", "n_heads", "d_feedforward", "batch_size", "total_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} {getattr(self, name)} must be at least 1")
+        for name in ("n_encoder_layers", "n_decoder_layers", "warmup_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} {getattr(self, name)} must not be negative")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr {self.lr} must be positive")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight_decay {self.weight_decay} must not be negative")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -77,14 +86,6 @@ def sinusoid_table(n_positions: int, d_model: int) -> np.ndarray:
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
     return table
-
-
-def positional_encoding(daughter_lengths, d_model: int) -> np.ndarray:
-    """Sinusoidal encoding whose position index restarts at each daughter."""
-    if any(l <= 0 for l in daughter_lengths):
-        raise ValueError("daughter lengths must be positive")
-    positions = np.concatenate([np.arange(l) for l in daughter_lengths])
-    return sinusoid_table(int(positions.max()) + 1, d_model)[positions]
 
 
 @dataclass
@@ -294,25 +295,6 @@ class Model:
         memory = self.encode_batch(batch, drop, trace)
         logits = self.decode_batch(memory, batch.tgt_in, batch.src_pad, drop, trace)
         return E.cross_entropy(logits, batch.tgt_out, ignore_index=PAD_ID)
-
-
-def encode(model: Model, example: EncodedExample):
-    """Run the encoder on a single example; returns (source length, d_model)."""
-    with E.no_grad():
-        memory = model.encode_batch(collate([example]))
-    return E.Tensor(memory.data[0])
-
-
-def forward_teacher_forced(model: Model, example: EncodedExample):
-    """Teacher-forced logits for one example, (len(target)-1, n_target);
-    row t conditions only on target tokens at positions <= t."""
-    if example.target[0] != BOS_ID:
-        raise E.EngineError("target must begin with BOS")
-    batch = collate([example])
-    with E.no_grad():
-        memory = model.encode_batch(batch)
-        logits = model.decode_batch(memory, batch.tgt_in, batch.src_pad)
-    return E.Tensor(logits.data[0])
 
 
 def greedy_decode(model: Model, examples, max_len: int, chunk: int = 128):

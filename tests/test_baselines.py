@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+from importlib import resources
 
 import pytest
 
 from protoform import baselines as B
-from protoform.corpus import CognateSet, Dataset, LanguageId, parse_dataset
+from protoform import synth as S
+from protoform.corpus import CognateSet, Dataset, LanguageId, parse_dataset, split_dataset
 from protoform.engine.rng import DetRng
 from protoform.metrics import GAP
 
@@ -275,6 +278,13 @@ class TestClassifiers:
         with pytest.raises(B.BaselineError):
             B.train_site_classifier(sites, "kernel-svm")
 
+    def test_dump_breaks_ties_like_predict(self):
+        atoms = frozenset({("sym", "A", "t")})
+        clf = B.PatternClassifier(B.ContextConfig(), {"A": 0})
+        clf.fit([(atoms, "b"), (atoms, "a")])
+        assert clf.predict(atoms) == "a"
+        assert clf.dump().splitlines()[1].split("\t")[0] == "a"
+
     def test_dumps_are_text(self):
         sites = self._sites(
             [(("t", "a"), ("t", "a"), ("z", "a"))] * 2,
@@ -285,3 +295,40 @@ class TestClassifiers:
             text = clf.dump()
             assert clf.kind in text.splitlines()[0]
             assert len(text.splitlines()) > 1
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode("utf-8")).hexdigest()
+
+
+class TestGolden:
+    """Exact outputs recorded on a fixed Sinitic-style synthetic corpus."""
+
+    @pytest.fixture(scope="class")
+    def splits(self):
+        rules = S.parse_rules(resources.files("protoform.data")
+                              .joinpath("sinitic_style.rules").read_text("utf-8"))
+        ds = parse_dataset(S.generate_tsv(rules, 120, 4, seed=17))
+        train, _, test = split_dataset(ds, 0)
+        return train, test
+
+    def test_alignment_rows(self, splits):
+        train, _ = splits
+        sites = B.align_cognates(train)
+        assert _digest([(a.set_id, sorted(a.rows.items()), a.proto_row)
+                        for a in sites.sets]) == (
+            "64a09ef3654c9b214bfd58119b1fcd0757bdb6ee2269382b38dc3641fc77c5fe")
+
+    def test_predictions(self, splits):
+        train, test = splits
+        # ten training sets leave test columns unseen, so back-off and ties matter
+        few = B.align_cognates(train.subset(range(10)))
+        expected = {
+            "pattern": "ff746084f80562a2342aa0b12a1b4529c53ffb28d0b44f8b81624a33d5c3d116",
+            "linear": "625e4a7ea1c41c27a616a62cbc7561d5b2c0631ea85458ccdb2aecaf50b18151",
+        }
+        for kind, want in expected.items():
+            clf = B.train_site_classifier(few, kind, seed=2)
+            assert _digest([B.reconstruct_with_classifier(clf, cs) for cs in test.sets]) == want
+        assert _digest([B.majority_constituent(train, cs) for cs in test.sets]) == (
+            "028303ae36b4babebc28cfd1c91b86d11ad0718276eafffd52ad1c2d31bf57f8")

@@ -107,6 +107,58 @@ class TestTrainEvaluate:
                     "--checkpoints", workdir / "run", "--out", workdir / "y"]) == 2
 
 
+    def _copy_run(self, workdir, name):
+        dst = workdir / name
+        dst.mkdir()
+        for f in ("seed0.ckpt", "seed0.json"):
+            (dst / f).write_bytes((workdir / "run" / f).read_bytes())
+        return dst
+
+    def test_truncated_checkpoint_exit_2(self, workdir, capsys):
+        ckpts = self._copy_run(workdir, "truncated")
+        blob = (ckpts / "seed0.ckpt").read_bytes()
+        (ckpts / "seed0.ckpt").write_bytes(blob[:len(blob) - 100])
+        assert run(["evaluate", "--dataset", workdir / "toy.tsv", "--config",
+                    workdir / "tiny.ini", "--seeds", "1@0", "--checkpoints", ckpts,
+                    "--out", workdir / "eval_truncated"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "truncated" in err[0]
+
+    def test_corrupt_sidecar_exit_2(self, workdir, capsys):
+        ckpts = self._copy_run(workdir, "corrupt_sidecar")
+        text = (ckpts / "seed0.json").read_text(encoding="utf-8")
+        (ckpts / "seed0.json").write_text(text[:len(text) // 2], encoding="utf-8")
+        assert run(["probe", "--checkpoints", ckpts, "--seeds", "1@0",
+                    "--out", workdir / "probe_corrupt"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
+class TestBadConfig:
+    @pytest.mark.parametrize("line", [
+        "n_heads = 0",
+        "batch_size = 0",
+        "total_epochs = 0",
+        "d_model = 16.5",
+        "n_heads = abc",
+        "d_feedforward = 0",
+        "n_decoder_layers = -1",
+        "warmup_epochs = -1",
+        "lr = 0",
+        "weight_decay = -1e-3",
+    ])
+    def test_exit_2_with_one_line(self, workdir, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        kept = [ln for ln in TINY_INI.splitlines() if not ln.startswith(key + " ")]
+        ini = tmp_path / "bad.ini"
+        ini.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
+        assert run(["train", "--dataset", workdir / "toy.tsv", "--config", ini,
+                    "--seeds", "1@0", "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert key in err[0]
+
+
 class TestProbe:
     def test_probe_outputs_and_gqd(self, workdir):
         gold = workdir / "gold.nwk"

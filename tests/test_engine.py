@@ -231,3 +231,31 @@ class TestDeterminism:
         b = E.DetRng(7).permutation(20)
         c = E.DetRng(8).permutation(20)
         assert a == b and a != c
+
+
+class TestOpSet:
+    def test_training_step_builds_every_op_kind_but_sum(self, monkeypatch):
+        # ``sum`` stays for the grad-check harness; any other kind the model
+        # never builds is dead code
+        from protoform import corpus as C
+        from protoform import transformer as T
+        from protoform.engine import ops
+
+        built = set()
+        real = ops.make_node
+
+        def recording(data, op, parents, backward):
+            built.add(op)
+            return real(data, op, parents, backward)
+
+        monkeypatch.setattr(ops, "make_node", recording)
+        ds = C.parse_dataset(
+            "id\tA\tB\tP\nx\tpata\tbat\tpata\ny\tkunu\tgun\tkuna\n",
+            C.ParseOptions(tokenizer=C.TokenizerOptions(mode="orthographic")))
+        vocab = C.build_vocab(ds)
+        cfg = T.TransformerConfig(d_model=8, n_heads=2, n_encoder_layers=1,
+                                  n_decoder_layers=1, d_feedforward=8, dropout_p=0.1)
+        model = T.Model(cfg, vocab, ds.languages, max_source_len=16)
+        batch = T.collate(C.encode_dataset(ds, vocab))
+        model.loss_batch(batch, T._DropCtx(cfg.seed, 0, cfg.dropout_p, training=True))
+        assert built == set(E.OP_KINDS) - {"sum"}

@@ -1,9 +1,14 @@
+import hashlib
 import itertools
 from functools import lru_cache
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from protoform import baselines as B
+from protoform import corpus as C
+from protoform import synth as S
 from protoform.engine.rng import DetRng
 from protoform.metrics import (
     GAP, FeatureTable, MetricsError, bcubed_f, edit_distance, error_breakdown,
@@ -213,3 +218,52 @@ class TestEvaluate:
     def test_length_mismatch_rejected(self):
         with pytest.raises(MetricsError):
             evaluate([("a",)], [("a",), ("b",)])
+
+
+class TestGolden:
+    """Exact values recorded on a fixed Sinitic-style synthetic corpus, so
+    any change to the alignment DP or the tallies that moves a single bit
+    of a report shows up here."""
+
+    @staticmethod
+    def _fixture():
+        rules = S.parse_rules(resources.files("protoform.data")
+                              .joinpath("sinitic_style.rules").read_text("utf-8"))
+        ds = C.parse_dataset(S.generate_tsv(rules, 120, 4, seed=17))
+        _, _, test = C.split_dataset(ds, 0)
+        golds = [cs.proto for cs in test.sets]
+        preds = [B.random_daughter(cs, 3) for cs in test.sets]
+        return preds, golds
+
+    @staticmethod
+    def _exact(rep):
+        br = rep.breakdown
+        return ([float.hex(v) for v in (rep.ped, rep.nped, rep.accuracy, rep.fer, rep.bcfs)],
+                rep.n, (br.substitutions, br.insertions, br.deletions),
+                hashlib.sha256(repr(br.substitution_pairs).encode("utf-8")).hexdigest())
+
+    def test_random_daughter_report(self, ft):
+        preds, golds = self._fixture()
+        assert self._exact(evaluate(preds, golds, ft)) == (
+            ["0x1.1555555555555p-1", "0x1.31c71c71c71c7p-3", "0x1.f400000000000p+5",
+             "0x1.38e38e38e38e3p-8", "0x1.b486805dfeba7p-1"],
+            24, (13, 0, 0),
+            "b5c51bf3b0171e691758e4402efab05f28930bb6fed296606098bba9c0a4fe1f",
+        )
+        # golds rotated by one set: every pair mismatched, indels included
+        assert self._exact(evaluate(preds, golds[1:] + golds[:1], ft)) == (
+            ["0x1.a000000000000p+1", "0x1.d5b05b05b05afp-1", "0x0.0p+0",
+             "0x1.3d4629b7f0d44p-2", "0x1.43e4bf1b25cc2p-2"],
+            24, (60, 9, 9),
+            "db1a2fcdb514ed77127ccf33ff0c4d8d3be01c636157593f634840413d52d8ed",
+        )
+
+    def test_report_agrees_with_standalone_metrics(self, ft):
+        preds, golds = self._fixture()
+        golds = golds[1:] + golds[:1]
+        rep = evaluate(preds, golds, ft)
+        dists = [edit_distance(p, g) for p, g in zip(preds, golds)]
+        assert rep.ped == sum(dists) / len(dists)
+        assert rep.breakdown == error_breakdown(preds, golds)
+        assert rep.fer == sum(feature_error_rate(p, g, ft)
+                              for p, g in zip(preds, golds)) / len(preds)

@@ -35,9 +35,14 @@ def toy():
 
 class TestPositionalEncoding:
     def test_restart_indices(self):
-        pe = T.positional_encoding([2, 2], 8)
-        table = T.sinusoid_table(2, 8)
-        np.testing.assert_array_equal(pe, table[[0, 1, 0, 1]])
+        ds = parse_dataset("id\tA\tB\tP\nx\tab\tcd\tab\n", ORTH)
+        vocab = build_vocab(ds)
+        enc = C.encode_cognate_set(ds.sets[0], vocab, ds)
+        assert enc.positions == [0, 1, 0, 1]
+        np.testing.assert_array_equal(T.collate([enc]).pos[0], [0, 1, 0, 1])
+        model = T.Model(TINY, vocab, ds.languages)
+        np.testing.assert_allclose(model.pe[:2], T.sinusoid_table(2, TINY.d_model),
+                                   rtol=0, atol=1e-15)
 
     def test_position_zero_row(self):
         row = T.sinusoid_table(1, 8)[0]
@@ -49,11 +54,21 @@ class TestPositionalEncoding:
         assert row[1] == pytest.approx(np.cos(1.0), abs=1e-15)
 
     def test_restart_makes_position_k_identical_everywhere(self):
-        pe = T.positional_encoding([3, 5, 2], 16)
+        ds = parse_dataset("id\tA\tB\tC\tP\nx\tabc\tabcde\tab\tabc\n", ORTH)
+        vocab = build_vocab(ds)
+        cfg = T.TransformerConfig(d_model=16, n_heads=2, n_encoder_layers=0,
+                                  n_decoder_layers=1, d_feedforward=16,
+                                  dropout_p=0.0, seed=1)
+        model = T.Model(cfg, vocab, ds.languages)
+        enc = C.encode_cognate_set(ds.sets[0], vocab, ds)
+        # with no encoder layers the memory is token + position + language embedding
+        memory = model.encode_batch(T.collate([enc])).data[0]
+        pe = (memory - model.params["src_emb"].data[enc.source]
+              - model.params["lang_emb"].data[enc.languages])
         table = T.sinusoid_table(5, 16)
         # daughter-local position 1 appears at offsets 1, 4, and 9
         for off in (1, 4, 9):
-            np.testing.assert_array_equal(pe[off], table[1])
+            np.testing.assert_allclose(pe[off], table[1], rtol=0, atol=1e-12)
 
 
 class TestEncoder:
@@ -108,14 +123,20 @@ class TestDecoder:
         ds, vocab = toy
         model = T.Model(TINY, vocab, ds.languages)
         enc = C.encode_dataset(ds, vocab)[0]
-        base = T.forward_teacher_forced(model, enc).data
+
+        def logits(example):
+            batch = T.collate([example])
+            with E.no_grad():
+                memory = model.encode_batch(batch)
+                return model.decode_batch(memory, batch.tgt_in, batch.src_pad).data[0]
+
+        base = logits(enc)
         for t in range(1, len(enc.target) - 1):
             perturbed = C.EncodedExample(
                 enc.set_id, enc.source, enc.positions, enc.languages,
                 enc.target[:t] + [(enc.target[t] + 1) % vocab.n_target or 4] + enc.target[t + 1:],
             )
-            got = T.forward_teacher_forced(model, perturbed).data
-            np.testing.assert_array_equal(base[:t], got[:t])
+            np.testing.assert_array_equal(base[:t], logits(perturbed)[:t])
 
     def test_pad_targets_do_not_change_loss(self, toy):
         ds, vocab = toy
@@ -139,13 +160,6 @@ class TestDecoder:
             logits = model.decode_batch(memory, batch.tgt_in, batch.src_pad)
         assert memory.data.shape == (2, batch.src.shape[1], TINY.d_model)
         assert logits.data.shape == (2, batch.tgt.shape[1] - 1, vocab.n_target)
-
-    def test_bos_required(self, toy):
-        ds, vocab = toy
-        model = T.Model(TINY, vocab, ds.languages)
-        bad = C.EncodedExample("x", [5], [0], [0], [5, 2])
-        with pytest.raises(E.EngineError, match="BOS"):
-            T.forward_teacher_forced(model, bad)
 
 
 class TestGreedyDecode:
