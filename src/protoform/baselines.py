@@ -94,7 +94,9 @@ def supports_majority_constituent(ds: Dataset) -> bool:
 
 def majority_constituent(train: Dataset, cs: CognateSet) -> Word:
     """Most frequent onset/nucleus/coda/tone string across the set's
-    daughters, concatenated; ties break to the lexicographically smallest."""
+    monosyllabic daughters, concatenated; ties break to the
+    lexicographically smallest.  A set with no monosyllabic daughter gets
+    the empty word, which scores as a miss."""
     if not supports_majority_constituent(train):
         raise UnsupportedOperation(
             f"majority-constituent baseline needs monosyllabic data; "
@@ -102,7 +104,7 @@ def majority_constituent(train: Dataset, cs: CognateSet) -> Word:
         )
     parses = [p for p in (parse_syllable(w) for w in cs.daughters.values()) if p is not None]
     if not parses:
-        raise BaselineError(f"no parseable daughters in set {cs.set_id!r}")
+        return ()
     out: list[str] = []
     for k in range(4):
         counts: dict = {}
@@ -113,8 +115,6 @@ def majority_constituent(train: Dataset, cs: CognateSet) -> Word:
             counts[key] = counts.get(key, 0) + 1
             tokens_of.setdefault(key, part)
         out.extend(tokens_of[_mode(counts)])
-    if not out:
-        raise BaselineError(f"majority constituents are all empty in set {cs.set_id!r}")
     return tuple(out)
 
 
@@ -150,7 +150,6 @@ class AlignedSet:
 class AlignedSiteMatrix:
     sets: list
     languages: list               # LanguageId order from the source dataset
-    proto_name: str
 
 
 def _consensus(columns_rows: list) -> list:
@@ -208,7 +207,7 @@ def align_cognates(ds: Dataset) -> AlignedSiteMatrix:
         aset = align_daughters(cs, lang_index)
         aset.proto_row = _merge(list(aset.rows.values()), cs.proto)
         out.append(aset)
-    return AlignedSiteMatrix(out, list(ds.languages), ds.proto_name)
+    return AlignedSiteMatrix(out, list(ds.languages))
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +345,6 @@ class LinearClassifier:
         idx = self._vectorize(atoms)
         scores = (self.W[:, idx].sum(axis=1) if idx else np.zeros(len(self.classes))) + self.b
         return self.classes[int(np.argmax(scores))]
-
-    def training_accuracy(self, columns) -> float:
-        hits = sum(self.predict(atoms) == label for atoms, label in columns)
-        return hits / len(columns)
 
     def dump(self) -> str:
         lines = [f"linear-classifier features={self.cfg} classes={len(self.classes)}"]

@@ -49,14 +49,24 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     return cp
 
 
+CORPUS_VALUES = {
+    "mode": ("phonetic", "orthographic"),
+    "strip_length": ("false", "true"),
+    "stress": ("separate", "strip"),
+}
+
+
 def parse_options_from(args, cp) -> C.ParseOptions:
     sec = cp["corpus"] if cp.has_section("corpus") else {}
+    for key, accepted in CORPUS_VALUES.items():
+        if key in sec and sec[key].lower() not in accepted:
+            raise CliInputError(f"[corpus] {key} = {sec[key]!r}; choose from {'|'.join(accepted)}")
     proto = args.proto_column or sec.get("proto_column") or None
-    mode = sec.get("mode", "phonetic")
+    mode = sec.get("mode", "phonetic").lower()
     if getattr(args, "orthographic", False):
         mode = "orthographic"
     strip = args.strip_length or sec.get("strip_length", "false").lower() == "true"
-    stress = sec.get("stress", "separate")
+    stress = sec.get("stress", "separate").lower()
     return C.ParseOptions(
         proto_column=proto,
         tokenizer=C.TokenizerOptions(mode=mode, strip_length=strip, stress=stress),
@@ -90,15 +100,17 @@ def transformer_config_from(args, cp) -> T.TransformerConfig:
 def parse_seeds(spec: str) -> list:
     """'0-9', '3', or '1,4,7'; also 'N@B' = N consecutive seeds from base B."""
     spec = spec.strip()
-    out: list = []
-    if "@" in spec:
-        n, base = spec.split("@", 1)
-        out = list(range(int(base), int(base) + int(n)))
-    elif "-" in spec and "," not in spec:
-        lo, hi = spec.split("-", 1)
-        out = list(range(int(lo), int(hi) + 1))
-    else:
-        out = [int(s) for s in spec.split(",") if s.strip()]
+    try:
+        if "@" in spec:
+            n, base = spec.split("@", 1)
+            out = list(range(int(base), int(base) + int(n)))
+        elif "-" in spec and "," not in spec:
+            lo, hi = spec.split("-", 1)
+            out = list(range(int(lo), int(hi) + 1))
+        else:
+            out = [int(s) for s in spec.split(",") if s.strip()]
+    except ValueError:
+        raise CliInputError(f"seed list {spec!r} is not of the form 0-9, 3, 1,4,7 or N@base")
     if not out or len(set(out)) != len(out):
         raise CliInputError(f"seed list {spec!r} must be nonempty and distinct")
     return out
@@ -140,9 +152,8 @@ def _echo_config(out_dir: str, args, options: C.ParseOptions, cfg, seeds) -> Non
 
 
 def _train_one(payload: dict) -> dict:
-    """Runs in a worker process; reads everything from the payload."""
-    if payload.get("dtype"):
-        E.set_default_dtype(payload["dtype"])
+    """Runs in a worker process; reads everything from the payload except
+    the dtype, which the engine takes from PROTOFORM_DTYPE on import."""
     with open(payload["dataset"], encoding="utf-8") as fh:
         ds = C.parse_dataset(fh.read(), payload["options"])
     train_ds, val_ds, _ = C.split_dataset(ds, payload["split_seed"])
@@ -174,7 +185,6 @@ def cmd_train(args) -> int:
         "cfg": cfg,
         "seed": seed,
         "prefix": os.path.join(args.out, f"seed{seed}"),
-        "dtype": os.environ.get("PROTOFORM_DTYPE", ""),
     } for seed in seeds]
     workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1 and len(payloads) > 1:
@@ -362,6 +372,9 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if not args.consensus_threshold >= 0.5:
+        raise CliInputError(f"--consensus-threshold {args.consensus_threshold} must be at "
+                            "least 0.5 (lower can keep incompatible clades)")
     seeds = parse_seeds(args.seeds)
     trained = _load_trained(args.checkpoints, seeds)
     os.makedirs(args.out, exist_ok=True)
@@ -403,16 +416,11 @@ def cmd_probe(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    worst_overall = 0.0
-    failed = []
-    for kind in E.OP_KINDS:
-        worst = max(E.grad_check(kind, seed) for seed in (0, 1, 2))
-        worst_overall = max(worst_overall, worst)
-        status = "ok" if worst < E.TOLERANCE else "FAIL"
-        print(f"{kind:18s} max rel err {worst:.3e}  {status}")
-        if worst >= E.TOLERANCE:
-            failed.append(kind)
-    print(f"overall max rel err {worst_overall:.3e} over {len(E.OP_KINDS)} ops, 3 seeds")
+    suite = E.run_suite()
+    for kind, worst in suite.items():
+        print(f"{kind:18s} max rel err {worst:.3e}  {'ok' if worst < E.TOLERANCE else 'FAIL'}")
+    failed = [kind for kind, worst in suite.items() if worst >= E.TOLERANCE]
+    print(f"overall max rel err {max(suite.values()):.3e} over {len(suite)} ops, 3 seeds")
     if failed:
         print(f"FAILED: {','.join(failed)}")
         raise ValidationFailure(f"gradient check failed for: {','.join(failed)}")

@@ -6,7 +6,6 @@ from .gradcheck import EPSILON, TOLERANCE, grad_check, run_suite
 from .ops import (
     OP_KINDS,
     add,
-    apply,
     cross_entropy,
     dropout,
     embedding_lookup,
@@ -36,7 +35,7 @@ from .tensor import (
 
 __all__ = [
     "AdamState", "DetRng", "EngineError", "EPSILON", "OP_KINDS", "ScheduleCfg",
-    "ShapeError", "Tensor", "TOLERANCE", "adam_step", "add", "apply", "backward",
+    "ShapeError", "Tensor", "TOLERANCE", "adam_step", "add", "backward",
     "cross_entropy", "default_dtype", "dropout", "embedding_lookup", "grad_check",
     "layer_norm", "load_checkpoint", "lr_at", "masked_fill", "matmul", "mix64",
     "mul", "no_grad", "philox", "relu", "reshape", "run_suite", "save_checkpoint",

@@ -137,30 +137,32 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return make_node(out, "embedding_lookup", (table,), bwd)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
     a = _as_tensor(a)
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
+    shifted = a.data - np.max(a.data, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
+    y = e / np.sum(e, axis=-1, keepdims=True)
 
     def bwd(g):
-        dot = np.sum(g * y, axis=axis, keepdims=True)
+        dot = np.sum(g * y, axis=-1, keepdims=True)
         accumulate(a, y * (g - dot))
 
     return make_node(y, "softmax", (a,), bwd)
 
 
-def layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    """Normalization only; any affine gain/bias is applied by the caller."""
+def layer_norm(a: Tensor) -> Tensor:
+    """Normalization over the last axis only; any affine gain/bias is
+    applied by the caller."""
     a = _as_tensor(a)
-    mu = np.mean(a.data, axis=axis, keepdims=True)
-    var = np.var(a.data, axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    mu = np.mean(a.data, axis=-1, keepdims=True)
+    var = np.var(a.data, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (a.data - mu) * inv
 
     def bwd(g):
-        gm = np.mean(g, axis=axis, keepdims=True)
-        gx = np.mean(g * xhat, axis=axis, keepdims=True)
+        gm = np.mean(g, axis=-1, keepdims=True)
+        gx = np.mean(g * xhat, axis=-1, keepdims=True)
         accumulate(a, inv * (g - gm - xhat * gx))
 
     return make_node(xhat, "layer_norm", (a,), bwd)
@@ -176,15 +178,16 @@ def relu(a: Tensor) -> Tensor:
     return make_node(out, "relu", (a,), bwd)
 
 
-def dropout(a: Tensor, p: float, key: tuple, training: bool = True) -> Tensor:
+def dropout(a: Tensor, p: float, key: tuple) -> Tensor:
     """Inverted dropout with a counter-based mask.
 
     ``key`` is a tuple of ints, conventionally (run seed, dropout-site id,
     step); the mask is a pure function of it, so replaying a step
-    reproduces the mask exactly.  Identity in eval mode.
+    reproduces the mask exactly.  ``p == 0`` (eval mode) is the identity
+    and returns ``a`` itself.
     """
     a = _as_tensor(a)
-    if not training or p == 0.0:
+    if p == 0.0:
         return a
     if not 0.0 <= p < 1.0:
         raise EngineError(f"dropout: p={p} outside [0, 1)")
@@ -250,25 +253,15 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = 0) ->
     return make_node(loss, "cross_entropy", (logits,), bwd)
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(a: Tensor) -> Tensor:
+    """Sum of every entry (a scalar)."""
     a = _as_tensor(a)
-    out = np.sum(a.data, axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if axis is None:
-            accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            accumulate(a, np.broadcast_to(gg, a.data.shape).copy())
+        accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
-    return make_node(out, "sum", (a,), bwd)
+    return make_node(np.sum(a.data), "sum", (a,), bwd)
 
-
-OP_KINDS = (
-    "matmul", "add", "mul", "scale", "reshape", "transpose", "embedding_lookup",
-    "softmax", "layer_norm", "relu", "dropout", "masked_fill", "cross_entropy",
-    "sum",
-)
 
 _DISPATCH = {
     "matmul": matmul,
@@ -287,9 +280,4 @@ _DISPATCH = {
     "sum": sum_,
 }
 
-
-def apply(kind: str, inputs, **attrs) -> Tensor:
-    """Uniform dispatcher over the operator set (used by the grad-check CLI)."""
-    if kind not in _DISPATCH:
-        raise EngineError(f"unknown op kind {kind!r}")
-    return _DISPATCH[kind](*inputs, **attrs)
+OP_KINDS = tuple(_DISPATCH)

@@ -75,9 +75,6 @@ class DetRng:
         self.shuffle(perm)
         return perm
 
-    def choice(self, items: list):
-        return items[self.randint(len(items))]
-
 
 def philox(*key: int) -> np.random.Generator:
     """Counter-based generator keyed by a tuple of ints (order matters)."""

@@ -23,6 +23,7 @@ class ShapeError(EngineError):
 
 
 _DTYPE = np.float64
+_DTYPES = {"float64": np.float64, "float32": np.float32}
 
 
 def set_default_dtype(name: str) -> None:
@@ -32,12 +33,9 @@ def set_default_dtype(name: str) -> None:
     throughput at the cost of gradient-check headroom.
     """
     global _DTYPE
-    if name in ("float64", "f64"):
-        _DTYPE = np.float64
-    elif name in ("float32", "f32"):
-        _DTYPE = np.float32
-    else:
-        raise EngineError(f"unknown dtype {name!r}")
+    if name not in _DTYPES:
+        raise EngineError(f"unknown dtype {name!r}; choose float64 or float32")
+    _DTYPE = _DTYPES[name]
 
 
 def default_dtype():
@@ -149,13 +147,9 @@ def accumulate(t: Tensor, g: np.ndarray, own: bool = True) -> None:
         t.grad += g
 
 
-def backward(loss: Tensor) -> dict[int, np.ndarray]:
-    """Reverse pass from a scalar loss.
-
-    Populates ``.grad`` on every tensor that requires gradients and
-    returns a map from ``id(leaf)`` to its gradient array for the leaves
-    of the graph (tensors without parents).
-    """
+def backward(loss: Tensor) -> None:
+    """Reverse pass from a scalar loss; populates ``.grad`` on every
+    tensor that requires gradients."""
     if loss.data.size != 1:
         raise EngineError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -165,7 +159,6 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-    return {id(t): t.grad for t in order if not t._parents and t.grad is not None}
 
 
 def zero_grads(tensors) -> None:

@@ -28,25 +28,25 @@ def _unit_cost(x, y) -> int:
     return 0 if x == y else 1
 
 
-def _cost_table(a: Word, b: Word, sub_cost, gap_cost: float = 1.0) -> list:
+def _cost_table(a: Word, b: Word, sub_cost) -> list:
     """D[i][j]: minimal cost of aligning a[:i] with b[:j].
 
-    The one alignment DP in the package; every distance and alignment
-    below reads its answer off this table.
+    Every gap costs 1.  The one alignment DP in the package; every
+    distance and alignment below reads its answer off this table.
     """
     m, n = len(a), len(b)
     D = [[0.0] * (n + 1) for _ in range(m + 1)]
     for i in range(1, m + 1):
-        D[i][0] = D[i - 1][0] + gap_cost
+        D[i][0] = D[i - 1][0] + 1.0
     for j in range(1, n + 1):
-        D[0][j] = D[0][j - 1] + gap_cost
+        D[0][j] = D[0][j - 1] + 1.0
     for i in range(1, m + 1):
         up, row, ai = D[i - 1], D[i], a[i - 1]
         for j in range(1, n + 1):
             row[j] = min(
                 up[j - 1] + sub_cost(ai, b[j - 1]),
-                up[j] + gap_cost,
-                row[j - 1] + gap_cost,
+                up[j] + 1.0,
+                row[j - 1] + 1.0,
             )
     return D
 
@@ -56,21 +56,21 @@ def edit_distance(a: Word, b: Word) -> int:
     return int(_cost_table(a, b, _unit_cost)[len(a)][len(b)])
 
 
-def nw_align(a: Word, b: Word, sub_cost, gap_cost: float = 1.0):
-    """Minimal-cost global alignment of `a` against `b`.
+def nw_align(a: Word, b: Word, sub_cost):
+    """Minimal-cost global alignment of `a` against `b`; each gap costs 1.
 
     Returns a list of (a_token | None, b_token | None) columns.  Ties are
     broken deterministically: diagonal first (match/substitution), then
     consuming from `a` (deletion), then from `b` (insertion).
     """
-    D = _cost_table(a, b, sub_cost, gap_cost)
+    D = _cost_table(a, b, sub_cost)
     cols = []
     i, j = len(a), len(b)
     while i > 0 or j > 0:
         if i > 0 and j > 0 and D[i][j] == D[i - 1][j - 1] + sub_cost(a[i - 1], b[j - 1]):
             cols.append((a[i - 1], b[j - 1]))
             i, j = i - 1, j - 1
-        elif i > 0 and D[i][j] == D[i - 1][j] + gap_cost:
+        elif i > 0 and D[i][j] == D[i - 1][j] + 1.0:
             cols.append((a[i - 1], None))
             i -= 1
         else:

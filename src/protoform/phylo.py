@@ -30,28 +30,21 @@ class DistanceMatrix:
 
 
 def cosine_distance_matrix(embeddings: dict) -> DistanceMatrix:
-    """1 - cosine similarity for every pair; keys may be LanguageId or str."""
-    def label(k):
-        return k.name if hasattr(k, "name") and isinstance(k.name, str) else k
-
-    def order(k):
-        idx = getattr(k, "index", None)
-        return (0, idx, label(k)) if isinstance(idx, int) else (1, 0, label(k))
-
-    keys = sorted(embeddings, key=order)
+    """1 - cosine similarity for every pair of LanguageId keys, in index order."""
+    keys = sorted(embeddings, key=lambda k: k.index)
     vecs = []
     for k in keys:
         v = np.asarray(embeddings[k], dtype=np.float64)
         norm = np.linalg.norm(v)
         if norm == 0.0:
-            raise PhyloError(f"zero-norm embedding for {label(k)!r}")
+            raise PhyloError(f"zero-norm embedding for {k.name!r}")
         vecs.append(v / norm)
     n = len(vecs)
     d = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             d[i, j] = d[j, i] = 1.0 - float(np.dot(vecs[i], vecs[j]))
-    return DistanceMatrix([label(k) for k in keys], d)
+    return DistanceMatrix([k.name for k in keys], d)
 
 
 @dataclass
@@ -358,14 +351,3 @@ def write_distance_csv(path: str, m: DistanceMatrix) -> None:
         fh.write("language," + ",".join(m.labels) + "\n")
         for i, lab in enumerate(m.labels):
             fh.write(lab + "," + ",".join(f"{x:.12g}" for x in m.d[i]) + "\n")
-
-
-def topologies_equal(a: TreeNode, b: TreeNode) -> bool:
-    """Same rooted topology and labels (children order ignored)."""
-
-    def canon(node):
-        if node.is_leaf():
-            return ("leaf", node.name)
-        return ("node", tuple(sorted(canon(c) for c in node.children)))
-
-    return canon(a) == canon(b)

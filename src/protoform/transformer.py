@@ -11,7 +11,7 @@ edit distance; inference is greedy.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -131,25 +131,22 @@ class _DropCtx:
     seed: int
     step: int
     p: float
-    training: bool
 
     def __call__(self, t, site: int):
-        return E.dropout(t, self.p, (self.seed, site, self.step), self.training)
+        return E.dropout(t, self.p, (self.seed, site, self.step))
 
 
-_EVAL = _DropCtx(seed=0, step=0, p=0.0, training=False)
+_EVAL = _DropCtx(seed=0, step=0, p=0.0)
 
 
 class Model:
     """Parameter container plus the forward passes."""
 
-    def __init__(self, cfg: TransformerConfig, vocab: Vocabulary, languages,
-                 max_source_len: int = MAX_SOURCE_LEN):
+    def __init__(self, cfg: TransformerConfig, vocab: Vocabulary, languages):
         self.cfg = cfg
         self.vocab = vocab
         self.languages = list(languages)
-        self.max_source_len = max_source_len
-        self.pe = sinusoid_table(max_source_len, cfg.d_model).astype(E.default_dtype())
+        self.pe = sinusoid_table(MAX_SOURCE_LEN, cfg.d_model).astype(E.default_dtype())
         self.params: dict[str, E.Tensor] = {}
         self._init_params()
 
@@ -201,9 +198,6 @@ class Model:
         weight("out.w", d, self.vocab.n_target)
         bias("out.b", self.vocab.n_target)
 
-    def n_params(self) -> int:
-        return sum(t.data.size for t in self.params.values())
-
     def state(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
 
@@ -217,7 +211,7 @@ class Model:
         return E.add(E.matmul(x, self.params[w]), self.params[b])
 
     def _ln(self, x, name):
-        return E.add(E.mul(E.layer_norm(x, axis=-1), self.params[f"{name}.g"]),
+        return E.add(E.mul(E.layer_norm(x), self.params[f"{name}.g"]),
                      self.params[f"{name}.b"])
 
     def _attention(self, q_in, kv_in, fill_mask, prefix, drop, site, trace=None, tag=""):
@@ -234,7 +228,7 @@ class Model:
         scores = E.scale(E.matmul(q, k), 1.0 / np.sqrt(dh))
         if fill_mask is not None:
             scores = E.masked_fill(scores, fill_mask, -np.inf)
-        attn = E.softmax(scores, axis=-1)
+        attn = E.softmax(scores)
         if trace is not None:
             trace[tag] = attn.data
         attn = drop(attn, site)
@@ -251,9 +245,9 @@ class Model:
 
     def encode_batch(self, batch: Batch, drop=_EVAL, trace=None):
         """Memory over the concatenated daughter sequence, (B, S, d_model)."""
-        if batch.src.shape[1] > self.max_source_len:
+        if batch.src.shape[1] > MAX_SOURCE_LEN:
             raise E.EngineError(
-                f"source length {batch.src.shape[1]} exceeds maximum {self.max_source_len}"
+                f"source length {batch.src.shape[1]} exceeds maximum {MAX_SOURCE_LEN}"
             )
         x = E.embedding_lookup(self.params["src_emb"], batch.src)
         x = E.add(x, E.Tensor(self.pe[batch.pos]))
@@ -411,7 +405,7 @@ def train(model: Model, train_split: Dataset, val_split: Dataset,
         loss_sum, loss_batches = 0.0, 0
         for lo in range(0, n, cfg.batch_size):
             batch = collate([train_enc[i] for i in order[lo:lo + cfg.batch_size]])
-            drop = _DropCtx(cfg.seed, step, cfg.dropout_p, training=True)
+            drop = _DropCtx(cfg.seed, step, cfg.dropout_p)
             E.zero_grads(model.params.values())
             loss = model.loss_batch(batch, drop)
             if not np.isfinite(loss.data):

@@ -27,6 +27,7 @@ from protoform import metrics as M
 from protoform import phylo as P
 from protoform import synth as S
 from protoform import transformer as T
+from test_phylo import topologies_equal
 
 
 def report(cid: str, ok: bool, detail: str):
@@ -281,8 +282,8 @@ def test_c6_phylogeny_unit_suite():
     star = [P.parse_newick("((A,B),(C,D));"), P.parse_newick("((A,C),(B,D));"),
             P.parse_newick("((A,D),(B,C));")]
     star_tree = P.consensus(star)
-    cons_ok = (P.topologies_equal(P.consensus(ten), ten[0])
-               and P.topologies_equal(P.consensus(keep), keep[0])
+    cons_ok = (topologies_equal(P.consensus(ten), ten[0])
+               and topologies_equal(P.consensus(keep), keep[0])
                and all(c.is_leaf() for c in star_tree.children))
 
     ok = ward_ok and gqd_ok and cons_ok

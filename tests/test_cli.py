@@ -159,6 +159,42 @@ class TestBadConfig:
         assert key in err[0]
 
 
+class TestBadCorpusConfig:
+    @pytest.mark.parametrize("line", ["mode = bogus", "stress = nope", "strip_length = yes"])
+    def test_exit_2_with_one_line(self, workdir, tmp_path, capsys, line):
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[corpus]\n" + line + "\n" + TINY_INI, encoding="utf-8")
+        assert run(["train", "--dataset", workdir / "toy.tsv", "--config", ini,
+                    "--seeds", "1@0", "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert line.split(" = ")[0] in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_accepted_values_echoed(self, workdir, tmp_path):
+        ini = tmp_path / "ok.ini"
+        ini.write_text("[corpus]\nmode = phonetic\nstress = strip\nstrip_length = true\n"
+                       + TINY_INI.replace("total_epochs = 6", "total_epochs = 1"),
+                       encoding="utf-8")
+        assert run(["train", "--dataset", workdir / "toy.tsv", "--config", ini,
+                    "--seeds", "1@0", "--out", tmp_path / "out"]) == 0
+        echo = (tmp_path / "out" / "config.ini").read_text(encoding="utf-8")
+        assert "stress = strip" in echo and "strip_length = true" in echo
+
+
+class TestMajorityBaseline:
+    def test_set_without_monosyllabic_daughter_scored_as_miss(self, workdir, tmp_path):
+        # set s0032 of this corpus has no monosyllabic daughter
+        tsv = tmp_path / "toy.tsv"
+        assert run(["synth", "--rules", workdir / "rules.txt", "--n-sets", 40,
+                    "--seed", 3, "--out-file", tsv]) == 0
+        assert run(["baseline", "--dataset", tsv, "--kinds", "random,majority",
+                    "--out", tmp_path / "out"]) == 0
+        rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["random-daughter",
+                                                       "majority-constituent"]
+
+
 class TestProbe:
     def test_probe_outputs_and_gqd(self, workdir):
         gold = workdir / "gold.nwk"
@@ -184,6 +220,16 @@ class TestProbe:
         assert run(["probe", "--checkpoints", workdir / "run", "--seeds", "2@0",
                     "--gold-tree", gold, "--out", workdir / "probe_broken"]) == 2
 
+    @pytest.mark.parametrize("threshold", ["0.4", "nan"])
+    def test_consensus_threshold_below_half_exit_2_before_any_output(
+            self, workdir, tmp_path, capsys, threshold):
+        out = tmp_path / "probe_low"
+        assert run(["probe", "--checkpoints", workdir / "run", "--seeds", "2@0",
+                    "--consensus-threshold", threshold, "--out", out]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "0.5" in err[0]
+        assert not out.exists()
+
 
 class TestGradcheckCommand:
     def test_passes_and_prints_per_op(self, capsys):
@@ -193,13 +239,14 @@ class TestGradcheckCommand:
         assert "FAIL" not in out
 
     def test_corrupted_gradient_reported(self, capsys, monkeypatch):
-        import protoform.engine as E
-        real = E.grad_check
+        from protoform.engine import gradcheck
+        real = gradcheck.grad_check
 
         def corrupted(kind, seed=0):
             return 1.0 if kind == "softmax" else real(kind, seed)
 
-        monkeypatch.setattr(cli.E, "grad_check", corrupted)
+        # run_suite looks grad_check up in its own module
+        monkeypatch.setattr(gradcheck, "grad_check", corrupted)
         assert cli.main(["gradcheck"]) == 1
         out = capsys.readouterr().out
         assert "FAILED: softmax" in out
@@ -215,3 +262,14 @@ class TestSeedSpecs:
     def test_duplicates_rejected(self):
         with pytest.raises(cli.CliInputError):
             cli.parse_seeds("1,1")
+
+    @pytest.mark.parametrize("spec", ["x", "1-x", "3@", "1,y"])
+    def test_malformed_rejected(self, spec):
+        with pytest.raises(cli.CliInputError, match="seed list"):
+            cli.parse_seeds(spec)
+
+    def test_malformed_exit_2_with_one_line(self, workdir, tmp_path, capsys):
+        assert run(["train", "--dataset", workdir / "toy.tsv", "--config",
+                    workdir / "tiny.ini", "--seeds", "x", "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'x'" in err[0]

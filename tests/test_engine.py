@@ -38,7 +38,7 @@ class TestForward:
 
     def test_softmax_rows_sum_to_one(self):
         x = E.Tensor(E.philox(3).normal(0, 3, (5, 9)))
-        y = E.softmax(x, axis=-1).data
+        y = E.softmax(x).data
         assert (y >= 0).all()
         np.testing.assert_allclose(y.sum(axis=-1), np.ones(5), atol=1e-9)
 
@@ -55,7 +55,7 @@ class TestForward:
 
     def test_dropout_eval_mode_is_identity(self):
         x = E.Tensor(np.arange(6.0))
-        assert E.dropout(x, 0.5, key=(1, 2, 3), training=False) is x
+        assert E.dropout(x, 0.0, key=(1, 2, 3)) is x
 
     def test_dropout_mask_is_reproducible(self):
         x = E.Tensor(np.ones((4, 4)))
@@ -103,7 +103,7 @@ class TestBackward:
 
         def loss_value():
             h = E.relu(E.matmul(x, w))
-            y = E.softmax(E.layer_norm(h, axis=-1), axis=-1)
+            y = E.softmax(E.layer_norm(h))
             return E.sum_(E.mul(y, y))
 
         E.backward(loss_value())
@@ -255,7 +255,7 @@ class TestOpSet:
         vocab = C.build_vocab(ds)
         cfg = T.TransformerConfig(d_model=8, n_heads=2, n_encoder_layers=1,
                                   n_decoder_layers=1, d_feedforward=8, dropout_p=0.1)
-        model = T.Model(cfg, vocab, ds.languages, max_source_len=16)
+        model = T.Model(cfg, vocab, ds.languages)
         batch = T.collate(C.encode_dataset(ds, vocab))
-        model.loss_batch(batch, T._DropCtx(cfg.seed, 0, cfg.dropout_p, training=True))
+        model.loss_batch(batch, T._DropCtx(cfg.seed, 0, cfg.dropout_p))
         assert built == set(E.OP_KINDS) - {"sum"}

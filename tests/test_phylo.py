@@ -4,30 +4,51 @@ import numpy as np
 import pytest
 
 from protoform import phylo as P
+from protoform.corpus import LanguageId
 from protoform.engine.rng import DetRng
+
+
+def topologies_equal(a: P.TreeNode, b: P.TreeNode) -> bool:
+    """Same rooted topology and labels (children order ignored)."""
+
+    def canon(node):
+        if node.is_leaf():
+            return ("leaf", node.name)
+        return ("node", tuple(sorted(canon(c) for c in node.children)))
+
+    return canon(a) == canon(b)
+
+
+def embeddings(*vectors):
+    """Vectors keyed by LanguageId, as extract_language_embeddings returns them."""
+    return {LanguageId(f"L{i}", i): v for i, v in enumerate(vectors)}
 
 
 class TestCosine:
     def test_identical_vectors(self):
-        m = P.cosine_distance_matrix({"A": [1.0, 2.0], "B": [2.0, 4.0]})
+        m = P.cosine_distance_matrix(embeddings([1.0, 2.0], [2.0, 4.0]))
         assert m.d[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal(self):
-        m = P.cosine_distance_matrix({"A": [1.0, 0.0], "B": [0.0, 3.0]})
+        m = P.cosine_distance_matrix(embeddings([1.0, 0.0], [0.0, 3.0]))
         assert m.d[0, 1] == pytest.approx(1.0)
 
     def test_antiparallel(self):
-        m = P.cosine_distance_matrix({"A": [1.0, 1.0], "B": [-2.0, -2.0]})
+        m = P.cosine_distance_matrix(embeddings([1.0, 1.0], [-2.0, -2.0]))
         assert m.d[0, 1] == pytest.approx(2.0)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(P.PhyloError, match="zero"):
-            P.cosine_distance_matrix({"A": [0.0, 0.0], "B": [1.0, 0.0]})
+            P.cosine_distance_matrix(embeddings([0.0, 0.0], [1.0, 0.0]))
+
+    def test_rows_follow_language_index(self):
+        embs = {LanguageId("B", 0): [1.0, 0.0], LanguageId("A", 1): [0.0, 1.0]}
+        assert P.cosine_distance_matrix(embs).labels == ["B", "A"]
 
     def test_symmetry_zero_diagonal(self):
         rng = DetRng(4)
-        embs = {f"L{i}": [rng.uniform() - 0.5 for _ in range(8)] for i in range(6)}
-        m = P.cosine_distance_matrix(embs)
+        m = P.cosine_distance_matrix(
+            embeddings(*([rng.uniform() - 0.5 for _ in range(8)] for _ in range(6))))
         np.testing.assert_allclose(m.d, m.d.T)
         assert np.all(np.diag(m.d) == 0)
 
@@ -89,7 +110,7 @@ class TestWard:
         perm = [3, 0, 4, 1, 2]
         d2 = d[np.ix_(perm, perm)]
         t2 = P.ward_cluster(P.DistanceMatrix([labels[p] for p in perm], d2))
-        assert P.topologies_equal(t1, t2)
+        assert topologies_equal(t1, t2)
 
     def test_asymmetric_rejected(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -101,14 +122,14 @@ class TestConsensus:
     def test_ten_copies_reproduce_topology(self):
         t = P.parse_newick("((A,B),(C,(D,E)));")
         got = P.consensus([P.parse_newick("((A,B),(C,(D,E)));") for _ in range(10)])
-        assert P.topologies_equal(got, t)
+        assert topologies_equal(got, t)
 
     def test_two_thirds_clade_retained(self):
         trees = [P.parse_newick("((A,B),C);"),
                  P.parse_newick("((A,B),C);"),
                  P.parse_newick("((A,C),B);")]
         got = P.consensus(trees)
-        assert P.topologies_equal(got, P.parse_newick("((A,B),C);"))
+        assert topologies_equal(got, P.parse_newick("((A,B),C);"))
 
     def test_no_majority_gives_star(self):
         trees = [P.parse_newick("((A,B),(C,D));"),
@@ -280,7 +301,7 @@ class TestNewick:
             names = [f"L{i}" for i in range(2 + rng.randint(7))]
             t = build(names)
             back = P.parse_newick(P.serialize_newick(t))
-            assert P.topologies_equal(t, back)
+            assert topologies_equal(t, back)
 
     def test_heights_serialize_as_branch_lengths(self):
         t = P.ward_cluster(matrix(["A", "B"], {(0, 1): 2.0}))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,8 +114,9 @@ class TestEncoder:
 
     def test_source_longer_than_maximum_rejected(self, toy):
         ds, vocab = toy
-        model = T.Model(TINY, vocab, ds.languages, max_source_len=8)
-        long = C.EncodedExample("x", [5] * 9, list(range(9)), [0] * 9, [1, 2])
+        model = T.Model(TINY, vocab, ds.languages)
+        n = T.MAX_SOURCE_LEN + 1
+        long = C.EncodedExample("x", [5] * n, [0] * n, [0] * n, [1, 2])
         with pytest.raises(E.EngineError, match="maximum"):
             model.encode_batch(T.collate([long]))
 
@@ -253,6 +256,35 @@ class TestTraining:
         model.params["out.w"].data[0, 0] = np.nan
         with pytest.raises(E.EngineError, match="diverged at epoch|epoch 0"):
             T.train(model, train_ds, train_ds, cfg)
+
+
+class TestNumericsGolden:
+    # Pins the training numerics for engine refactors.  Recorded in float64:
+    # per-epoch (train_loss, val_ped), then the sum and the sum of squares
+    # of the returned parameters.  The tolerance absorbs BLAS and threading
+    # differences between hosts, not a changed computation.
+    GOLDEN = {
+        0.0: ([(2.7058419942904575, 19.25), (2.513187755337447, 7.25)],
+              144.40155788743147, 388.88805239073645),
+        0.1: ([(2.640622637732106, 19.25), (2.575635714629568, 7.25)],
+              143.66412171978067, 388.8553440997226),
+    }
+
+    @pytest.mark.parametrize("dropout_p", sorted(GOLDEN))
+    def test_two_epochs_match_recorded_numbers(self, toy, dropout_p):
+        if E.default_dtype() != np.float64:
+            pytest.skip("golden recorded in float64")
+        ds, vocab = toy
+        train_ds = C.Dataset(ds.sets[:16], ds.languages, ds.proto_name)
+        val_ds = C.Dataset(ds.sets[16:], ds.languages, ds.proto_name)
+        cfg = replace(TINY, total_epochs=2, dropout_p=dropout_p)
+        trained = T.train(T.Model(cfg, vocab, ds.languages), train_ds, val_ds, cfg)
+        history, total, squares = self.GOLDEN[dropout_p]
+        got = [(h["train_loss"], h["val_ped"]) for h in trained.history]
+        np.testing.assert_allclose(got, history, rtol=1e-9, atol=0)
+        flat = np.concatenate([t.data.ravel() for t in trained.model.params.values()])
+        np.testing.assert_allclose([flat.sum(), (flat * flat).sum()], [total, squares],
+                                   rtol=1e-9, atol=0)
 
 
 class TestLanguageEmbeddings:
