@@ -55,9 +55,6 @@ class SyllableParse:
         tone = (self.tone,) if self.tone is not None else ()
         return (self.onset, self.nucleus, self.coda, tone)
 
-    def word(self) -> Word:
-        return self.onset + self.nucleus + self.coda + ((self.tone,) if self.tone else ())
-
 
 def parse_syllable(word: Word) -> SyllableParse | None:
     """Onset + nucleus + coda + optional trailing tone; None if the word is
@@ -259,8 +256,6 @@ class PatternClassifier:
     """Memorizes training columns; unseen columns back off to the nearest
     stored column by Hamming distance over active features."""
 
-    kind = "pattern"
-
     def __init__(self, cfg: ContextConfig, lang_index: dict):
         self.cfg = cfg
         self.lang_index = lang_index
@@ -285,21 +280,12 @@ class PatternClassifier:
                     merged[label] = merged.get(label, 0) + c
         return _mode(merged)
 
-    def dump(self) -> str:
-        lines = [f"pattern-classifier features={self.cfg}"]
-        for key in sorted(self.patterns, key=sorted):
-            counts = self.patterns[key]
-            feats = " ".join(":".join(map(str, a)) for a in sorted(key))
-            lines.append(f"{_mode(counts)}\t{feats}")
-        return "\n".join(lines) + "\n"
-
 
 class LinearClassifier:
     """One-vs-rest linear classifiers under hinge loss, trained by SGD
     (50 epochs, lr 0.1 decaying as 1/epoch, L2 1e-4 applied per epoch,
     seeded shuffles)."""
 
-    kind = "linear"
     EPOCHS = 50
     LR = 0.1
     L2 = 1e-4
@@ -345,15 +331,6 @@ class LinearClassifier:
         idx = self._vectorize(atoms)
         scores = (self.W[:, idx].sum(axis=1) if idx else np.zeros(len(self.classes))) + self.b
         return self.classes[int(np.argmax(scores))]
-
-    def dump(self) -> str:
-        lines = [f"linear-classifier features={self.cfg} classes={len(self.classes)}"]
-        inv = {i: a for a, i in self.feature_index.items()}
-        for ci, cls in enumerate(self.classes):
-            top = np.argsort(-self.W[ci])[:10]
-            feats = " ".join(f"{':'.join(map(str, inv[j]))}={self.W[ci, j]:+.3f}" for j in top)
-            lines.append(f"{cls}\tb={self.b[ci]:+.3f}\t{feats}")
-        return "\n".join(lines) + "\n"
 
 
 def training_columns(sites: AlignedSiteMatrix, cfg: ContextConfig) -> list:

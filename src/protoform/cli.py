@@ -26,6 +26,7 @@ from . import synth as S
 from . import transformer as T
 
 WORKERS_ENV = "PROTOFORM_WORKERS"
+DTYPE_ENV = "PROTOFORM_DTYPE"
 
 
 class CliInputError(Exception):
@@ -152,8 +153,8 @@ def _echo_config(out_dir: str, args, options: C.ParseOptions, cfg, seeds) -> Non
 
 
 def _train_one(payload: dict) -> dict:
-    """Runs in a worker process; reads everything from the payload except
-    the dtype, which the engine takes from PROTOFORM_DTYPE on import."""
+    """Runs in a worker process, whose pool initializer set the dtype;
+    reads everything else from the payload."""
     with open(payload["dataset"], encoding="utf-8") as fh:
         ds = C.parse_dataset(fh.read(), payload["options"])
     train_ds, val_ds, _ = C.split_dataset(ds, payload["split_seed"])
@@ -171,7 +172,19 @@ def _train_one(payload: dict) -> dict:
             "best_val_ped": trained.best_val_ped}
 
 
+def _workers() -> int:
+    raw = os.environ.get(WORKERS_ENV) or "1"
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise CliInputError(f"{WORKERS_ENV}={raw!r} is not an integer of at least 1")
+    return workers
+
+
 def cmd_train(args) -> int:
+    workers = _workers()
     cp = _read_config(args.config)
     ds, options = load_dataset(args, cp)
     cfg = transformer_config_from(args, cp)
@@ -186,10 +199,11 @@ def cmd_train(args) -> int:
         "seed": seed,
         "prefix": os.path.join(args.out, f"seed{seed}"),
     } for seed in seeds]
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1 and len(payloads) > 1:
         import multiprocessing as mp
-        with mp.get_context("spawn").Pool(min(workers, len(payloads))) as pool:
+        dtype = E.default_dtype().__name__
+        with mp.get_context("spawn").Pool(min(workers, len(payloads)),
+                                          E.set_default_dtype, (dtype,)) as pool:
             results = pool.map(_train_one, payloads)
     else:
         results = [_train_one(p) for p in payloads]
@@ -283,10 +297,7 @@ def _baseline_rows(kinds, train_ds, test_ds, ft, seed) -> list:
             preds = [B.random_daughter(cs, seed) for cs in test_ds.sets]
             name = "random-daughter"
         elif kind == "majority":
-            try:
-                preds = [B.majority_constituent(train_ds, cs) for cs in test_ds.sets]
-            except B.UnsupportedOperation as exc:
-                raise ValidationFailure(str(exc))
+            preds = [B.majority_constituent(train_ds, cs) for cs in test_ds.sets]
             name = "majority-constituent"
         elif kind in ("pattern", "linear"):
             sites = B.align_cognates(train_ds)
@@ -295,16 +306,8 @@ def _baseline_rows(kinds, train_ds, test_ds, ft, seed) -> list:
             name = "corpar-style" if kind == "pattern" else "svm-style"
         else:
             raise CliInputError(f"unknown baseline {kind!r}")
-        rep = _evaluate_safe(preds, golds, ft)
-        rows.append((name, _aggregate([_metric_values(rep)])))
+        rows.append((name, _aggregate([_metric_values(M.evaluate(preds, golds, ft))])))
     return rows
-
-
-def _evaluate_safe(preds, golds, ft):
-    try:
-        return M.evaluate(preds, golds, ft)
-    except M.MetricsError as exc:
-        raise ValidationFailure(f"metric computation failed: {exc}")
 
 
 def _feature_table_for(options: C.ParseOptions):
@@ -338,7 +341,7 @@ def cmd_evaluate(args) -> int:
         enc = C.encode_dataset(test_ds, tm.vocab)
         preds = T.greedy_decode(tm.model, enc, tm.max_decode_len)
         empty_total += sum(not p for p in preds)
-        per_seed.append(_metric_values(_evaluate_safe(preds, golds, ft)))
+        per_seed.append(_metric_values(M.evaluate(preds, golds, ft)))
     rows.append(("transformer", _aggregate(per_seed)))
     with open(os.path.join(args.out, "per_seed.csv"), "w", encoding="utf-8") as fh:
         fh.write("seed," + ",".join(c.lower().rstrip("%") for c in COLUMNS) + "\n")
@@ -397,13 +400,8 @@ def cmd_probe(args) -> int:
             gold = P.load_newick(args.gold_tree)
         except P.PhyloError as exc:
             raise CliInputError(f"cannot parse gold tree: {exc}")
-        try:
-            score = P.gqd(gold, cons)
-            per_seed = [P.gqd(gold, t) for t in dendros]
-        except P.PhyloError as exc:
-            raise ValidationFailure(str(exc))
-        lines.append(f"gqd_consensus: {score:.6f}")
-        lines.append("gqd_per_seed: " + ",".join(f"{g:.6f}" for g in per_seed))
+        lines.append(f"gqd_consensus: {P.gqd(gold, cons):.6f}")
+        lines.append("gqd_per_seed: " + ",".join(f"{P.gqd(gold, t):.6f}" for t in dendros))
     summary = "\n".join(lines) + "\n"
     sys.stdout.write(summary)
     with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8") as fh:
@@ -508,9 +506,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dtype_from_env() -> None:
+    name = os.environ.get(DTYPE_ENV)
+    if name:
+        try:
+            E.set_default_dtype(name)
+        except E.EngineError as exc:
+            raise CliInputError(f"{DTYPE_ENV}: {exc}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _dtype_from_env()
         return args.handler(args)
     except (CliInputError, FileNotFoundError, IsADirectoryError, PermissionError,
             configparser.Error) as exc:

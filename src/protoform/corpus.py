@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .engine.rng import DetRng, mix64
 
@@ -243,10 +244,17 @@ def parse_dataset(tsv_text: str, options: ParseOptions = ParseOptions()) -> Data
 
 @dataclass(frozen=True)
 class Vocabulary:
+    """Token tables; a token's id is its position in its list."""
     source_tokens: list
     target_tokens: list
-    source_index: dict
-    target_index: dict
+
+    @cached_property
+    def source_index(self) -> dict:
+        return {t: i for i, t in enumerate(self.source_tokens)}
+
+    @cached_property
+    def target_index(self) -> dict:
+        return {t: i for i, t in enumerate(self.target_tokens)}
 
     def src_id(self, token: Token) -> int:
         return self.source_index.get(token, UNK_ID)
@@ -279,14 +287,7 @@ def build_vocab(ds: Dataset) -> Vocabulary:
     for tok in SPECIALS:
         if tok in src or tok in tgt:
             raise CorpusError(f"surface token collides with special {tok!r}")
-    source_tokens = list(SPECIALS) + src
-    target_tokens = list(SPECIALS) + tgt
-    return Vocabulary(
-        source_tokens,
-        target_tokens,
-        {t: i for i, t in enumerate(source_tokens)},
-        {t: i for i, t in enumerate(target_tokens)},
-    )
+    return Vocabulary(list(SPECIALS) + src, list(SPECIALS) + tgt)
 
 
 def split_dataset(ds: Dataset, seed: int):

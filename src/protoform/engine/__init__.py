@@ -1,5 +1,5 @@
 """Reverse-mode autodiff over dense numpy arrays, plus the optimizer,
-schedule, gradient checker, and checkpoint I/O used by the reconstructor."""
+gradient checker, and checkpoint I/O used by the reconstructor."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .gradcheck import EPSILON, TOLERANCE, grad_check, run_suite
@@ -20,7 +20,7 @@ from .ops import (
     sum_,
     transpose,
 )
-from .optim import AdamState, ScheduleCfg, adam_step, lr_at
+from .optim import AdamState, adam_step
 from .rng import DetRng, mix64, philox, stable_hash
 from .tensor import (
     EngineError,
@@ -34,10 +34,10 @@ from .tensor import (
 )
 
 __all__ = [
-    "AdamState", "DetRng", "EngineError", "EPSILON", "OP_KINDS", "ScheduleCfg",
+    "AdamState", "DetRng", "EngineError", "EPSILON", "OP_KINDS",
     "ShapeError", "Tensor", "TOLERANCE", "adam_step", "add", "backward",
     "cross_entropy", "default_dtype", "dropout", "embedding_lookup", "grad_check",
-    "layer_norm", "load_checkpoint", "lr_at", "masked_fill", "matmul", "mix64",
+    "layer_norm", "load_checkpoint", "masked_fill", "matmul", "mix64",
     "mul", "no_grad", "philox", "relu", "reshape", "run_suite", "save_checkpoint",
     "scale", "set_default_dtype", "softmax", "stable_hash", "sum_", "transpose",
     "zero_grads",

@@ -26,12 +26,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = np.matmul(a.data, b.data)
     except ValueError:
@@ -55,7 +50,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = a.data + b.data
     except ValueError:
@@ -71,7 +65,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = a.data * b.data
     except ValueError:
@@ -85,7 +78,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    a = _as_tensor(a)
     s = float(s)
 
     def bwd(g):
@@ -95,7 +87,6 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
     try:
         out = a.data.reshape(shape)
     except ValueError:
@@ -108,7 +99,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    a = _as_tensor(a)
     axes = tuple(axes)
     if sorted(axes) != list(range(a.data.ndim)):
         raise ShapeError(f"transpose: axes {axes} invalid for shape {a.data.shape}")
@@ -121,7 +111,6 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    table = _as_tensor(table)
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ShapeError(
@@ -139,7 +128,6 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    a = _as_tensor(a)
     shifted = a.data - np.max(a.data, axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / np.sum(e, axis=-1, keepdims=True)
@@ -154,7 +142,6 @@ def softmax(a: Tensor) -> Tensor:
 def layer_norm(a: Tensor) -> Tensor:
     """Normalization over the last axis only; any affine gain/bias is
     applied by the caller."""
-    a = _as_tensor(a)
     mu = np.mean(a.data, axis=-1, keepdims=True)
     var = np.var(a.data, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
@@ -169,7 +156,6 @@ def layer_norm(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     out = np.maximum(a.data, 0.0)
 
     def bwd(g):
@@ -186,7 +172,6 @@ def dropout(a: Tensor, p: float, key: tuple) -> Tensor:
     reproduces the mask exactly.  ``p == 0`` (eval mode) is the identity
     and returns ``a`` itself.
     """
-    a = _as_tensor(a)
     if p == 0.0:
         return a
     if not 0.0 <= p < 1.0:
@@ -203,7 +188,6 @@ def dropout(a: Tensor, p: float, key: tuple) -> Tensor:
 
 def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
     """Replace entries where ``mask`` is True with ``value`` (often -inf)."""
-    a = _as_tensor(a)
     mask = np.asarray(mask, dtype=bool)
     try:
         out = np.where(mask, a.data.dtype.type(value), a.data)
@@ -216,19 +200,18 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
     return make_node(out, "masked_fill", (a,), bwd)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = 0) -> Tensor:
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean token-level cross entropy over positions whose target is not
-    ``ignore_index``; those positions contribute nothing, gradient included.
+    the padding id 0; those positions contribute nothing, gradient included.
 
     ``logits``: (..., V); ``targets``: integer array of shape ``logits.shape[:-1]``.
     """
-    logits = _as_tensor(logits)
     targets = np.asarray(targets)
     if targets.shape != logits.data.shape[:-1]:
         raise ShapeError(
             f"cross_entropy: targets {targets.shape} vs logits {logits.data.shape}"
         )
-    keep = targets != ignore_index
+    keep = targets != 0
     count = int(keep.sum())
     if count == 0:
         raise EngineError("cross_entropy: every target position is ignored")
@@ -255,7 +238,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = 0) ->
 
 def sum_(a: Tensor) -> Tensor:
     """Sum of every entry (a scalar)."""
-    a = _as_tensor(a)
 
     def bwd(g):
         accumulate(a, np.broadcast_to(g, a.data.shape).copy())

@@ -1,4 +1,4 @@
-"""Adam with decoupled weight decay, and the warmup learning-rate schedule."""
+"""Adam with decoupled weight decay."""
 
 from __future__ import annotations
 
@@ -9,13 +9,15 @@ import numpy as np
 from .tensor import EngineError, Tensor
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter moment estimates keyed by parameter name."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -33,9 +35,8 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         raise EngineError(f"adam_step: lr must be positive, got {lr}")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = grads.get(name)
         if g is not None:
@@ -49,26 +50,10 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                 state.v[name] = np.zeros_like(p.data)
             m = state.m[name]
             v = state.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * (g * g)
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
         if state.weight_decay:
             p.data -= lr * state.weight_decay * p.data
-
-
-@dataclass(frozen=True)
-class ScheduleCfg:
-    peak_lr: float
-    warmup_epochs: int
-    total_epochs: int
-
-
-def lr_at(epoch: int, cfg: ScheduleCfg) -> float:
-    """Linear ramp from 0 to peak over the warmup, then constant."""
-    if not 0 <= epoch < cfg.total_epochs:
-        raise EngineError(f"lr_at: epoch {epoch} outside [0, {cfg.total_epochs})")
-    if cfg.warmup_epochs > 0 and epoch < cfg.warmup_epochs:
-        return cfg.peak_lr * (epoch + 1) / cfg.warmup_epochs
-    return cfg.peak_lr

@@ -9,8 +9,6 @@ fixed seed, bitwise deterministic.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
@@ -40,10 +38,6 @@ def set_default_dtype(name: str) -> None:
 
 def default_dtype():
     return _DTYPE
-
-
-if os.environ.get("PROTOFORM_DTYPE"):
-    set_default_dtype(os.environ["PROTOFORM_DTYPE"])
 
 
 _GRAD_ENABLED = True

@@ -169,48 +169,14 @@ def consensus(trees: list, threshold: float = 0.5) -> TreeNode:
     return root
 
 
-def _pairwise_path_lengths(tree: TreeNode) -> dict:
-    """Edge-count distances between all leaf pairs (tree viewed as a graph)."""
-    parent = {}
-    depth = {}
-
-    def walk(node, d):
-        depth[id(node)] = d
-        for c in node.children:
-            parent[id(c)] = node
-            walk(c, d + 1)
-
-    walk(tree, 0)
-    leaves = tree.leaves()
-    dist = {}
-    for a, b in combinations(leaves, 2):
-        x, y = a, b
-        while id(x) != id(y):
-            if depth[id(x)] >= depth[id(y)]:
-                x = parent[id(x)]
-            else:
-                y = parent[id(y)]
-        d = depth[id(a)] + depth[id(b)] - 2 * depth[id(x)]
-        dist[(a.name, b.name)] = d
-        dist[(b.name, a.name)] = d
-    return dist
-
-
-def quartet_topology(dist: dict, a, b, c, d):
-    """Which pairing the tree induces on {a,b,c,d}: a frozenset of two
-    frozensets for a butterfly, or None when unresolved (star)."""
-    s_ab = dist[(a, b)] + dist[(c, d)]
-    s_ac = dist[(a, c)] + dist[(b, d)]
-    s_ad = dist[(a, d)] + dist[(b, c)]
-    smallest = min(s_ab, s_ac, s_ad)
-    hits = [s == smallest for s in (s_ab, s_ac, s_ad)]
-    if sum(hits) != 1:
-        return None
-    if hits[0]:
-        return frozenset((frozenset((a, b)), frozenset((c, d))))
-    if hits[1]:
-        return frozenset((frozenset((a, c)), frozenset((b, d))))
-    return frozenset((frozenset((a, d)), frozenset((b, c))))
+def _quartet_topology(clades: set, quartet: frozenset):
+    """The pairing a tree induces on four leaves: ab|cd (a frozenset of two
+    pairs) when one of its clades holds exactly two of them, else None."""
+    for clade in clades:
+        pair = clade & quartet
+        if len(pair) == 2:
+            return frozenset((pair, quartet - pair))
+    return None
 
 
 def gqd(gold: TreeNode, test: TreeNode) -> float:
@@ -218,23 +184,23 @@ def gqd(gold: TreeNode, test: TreeNode) -> float:
 
     Both trees are treated as unrooted.  Over the quartets the gold tree
     resolves as butterflies, the fraction whose topology differs in the
-    test tree (test-unresolved counts as differing).
+    test tree (test-unresolved counts as differing).  A quartet is resolved
+    when a clade below the root separates it two against two; a clade's
+    edge to its parent is the split, so rooting does not matter.
     """
     gold_leaves = sorted(gold.leaf_names())
     if set(gold_leaves) != set(test.leaf_names()):
         raise PhyloError("gqd needs identical leaf sets")
-    if len(gold_leaves) < 4:
-        raise PhyloError("gqd needs at least four leaves")
-    dg = _pairwise_path_lengths(gold)
-    dt = _pairwise_path_lengths(test)
+    cg, ct = _clades(gold), _clades(test)
     resolved = 0
     differing = 0
-    for a, b, c, d in combinations(gold_leaves, 4):
-        tg = quartet_topology(dg, a, b, c, d)
+    for quartet in combinations(gold_leaves, 4):
+        q = frozenset(quartet)
+        tg = _quartet_topology(cg, q)
         if tg is None:
             continue
         resolved += 1
-        if quartet_topology(dt, a, b, c, d) != tg:
+        if _quartet_topology(ct, q) != tg:
             differing += 1
     if resolved == 0:
         raise PhyloError("gold tree resolves no quartets")

@@ -21,7 +21,7 @@ from .corpus import (
     Dataset, LanguageId, Vocabulary, encode_dataset,
 )
 from .engine.rng import DetRng, mix64, philox
-from .engine.optim import AdamState, ScheduleCfg, adam_step, lr_at
+from .engine.optim import AdamState, adam_step
 from .metrics import edit_distance
 
 MAX_SOURCE_LEN = 1024
@@ -60,6 +60,13 @@ class TransformerConfig:
 
     def with_seed(self, seed: int) -> "TransformerConfig":
         return replace(self, seed=seed)
+
+
+def lr_at(epoch: int, cfg: TransformerConfig) -> float:
+    """Linear ramp from 0 to ``cfg.lr`` over the warmup epochs, then constant."""
+    if epoch < cfg.warmup_epochs:
+        return cfg.lr * (epoch + 1) / cfg.warmup_epochs
+    return cfg.lr
 
 
 ROMANCE = TransformerConfig(
@@ -214,7 +221,7 @@ class Model:
         return E.add(E.mul(E.layer_norm(x), self.params[f"{name}.g"]),
                      self.params[f"{name}.b"])
 
-    def _attention(self, q_in, kv_in, fill_mask, prefix, drop, site, trace=None, tag=""):
+    def _attention(self, q_in, kv_in, fill_mask, prefix, drop, site, trace=None):
         H = self.cfg.n_heads
         B, Tq, d = q_in.data.shape
         Tk = kv_in.data.shape[1]
@@ -230,7 +237,7 @@ class Model:
             scores = E.masked_fill(scores, fill_mask, -np.inf)
         attn = E.softmax(scores)
         if trace is not None:
-            trace[tag] = attn.data
+            trace[prefix] = attn.data
         attn = drop(attn, site)
         out = E.matmul(attn, v)
         out = E.reshape(E.transpose(out, (0, 2, 1, 3)), (B, Tq, d))
@@ -256,8 +263,7 @@ class Model:
         key_mask = batch.src_pad[:, None, None, :]
         for i in range(self.cfg.n_encoder_layers):
             base = 10 + 8 * i
-            h = self._attention(x, x, key_mask, f"enc{i}.attn", drop, base,
-                                trace, f"enc{i}.attn")
+            h = self._attention(x, x, key_mask, f"enc{i}.attn", drop, base, trace)
             x = self._ln(E.add(x, drop(h, base + 1)), f"enc{i}.ln1")
             f = self._feedforward(x, f"enc{i}.ff", drop, base + 2)
             x = self._ln(E.add(x, drop(f, base + 3)), f"enc{i}.ln2")
@@ -275,11 +281,10 @@ class Model:
         cross_mask = src_pad[:, None, None, :]
         for i in range(self.cfg.n_decoder_layers):
             base = 1000 + 8 * i
-            h = self._attention(x, x, self_mask, f"dec{i}.self", drop, base,
-                                trace, f"dec{i}.self")
+            h = self._attention(x, x, self_mask, f"dec{i}.self", drop, base, trace)
             x = self._ln(E.add(x, drop(h, base + 1)), f"dec{i}.ln1")
             c = self._attention(x, memory, cross_mask, f"dec{i}.cross", drop, base + 2,
-                                trace, f"dec{i}.cross")
+                                trace)
             x = self._ln(E.add(x, drop(c, base + 3)), f"dec{i}.ln2")
             f = self._feedforward(x, f"dec{i}.ff", drop, base + 4)
             x = self._ln(E.add(x, drop(f, base + 5)), f"dec{i}.ln3")
@@ -288,7 +293,7 @@ class Model:
     def loss_batch(self, batch: Batch, drop=_EVAL, trace=None):
         memory = self.encode_batch(batch, drop, trace)
         logits = self.decode_batch(memory, batch.tgt_in, batch.src_pad, drop, trace)
-        return E.cross_entropy(logits, batch.tgt_out, ignore_index=PAD_ID)
+        return E.cross_entropy(logits, batch.tgt_out)
 
 
 def greedy_decode(model: Model, examples, max_len: int, chunk: int = 128):
@@ -365,10 +370,7 @@ class TrainedModel:
         with open(prefix + ".json", encoding="utf-8") as fh:
             sidecar = json.load(fh)
         cfg = TransformerConfig(**sidecar["config"])
-        src, tgt = sidecar["source_tokens"], sidecar["target_tokens"]
-        vocab = Vocabulary(src, tgt,
-                           {t: i for i, t in enumerate(src)},
-                           {t: i for i, t in enumerate(tgt)})
+        vocab = Vocabulary(sidecar["source_tokens"], sidecar["target_tokens"])
         languages = [LanguageId(name, i) for i, name in enumerate(sidecar["languages"])]
         model = Model(cfg, vocab, languages)
         model.load_state(E.load_checkpoint(prefix + ".ckpt"))
@@ -392,7 +394,6 @@ def train(model: Model, train_split: Dataset, val_split: Dataset,
     val_enc = encode_dataset(val_split, vocab)
     val_gold = [cs.proto for cs in val_split.sets]
     max_decode = max(20, 2 * max(len(cs.proto) for cs in train_split.sets))
-    schedule = ScheduleCfg(cfg.lr, cfg.warmup_epochs, cfg.total_epochs)
     adam = AdamState(weight_decay=cfg.weight_decay)
     step = 0
     best_ped, best_epoch, best_state = np.inf, -1, None
@@ -400,7 +401,7 @@ def train(model: Model, train_split: Dataset, val_split: Dataset,
     n = len(train_enc)
 
     for epoch in range(cfg.total_epochs):
-        lr = lr_at(epoch, schedule)
+        lr = lr_at(epoch, cfg)
         order = DetRng(mix64(cfg.seed, 0xE70C, epoch)).permutation(n)
         loss_sum, loss_batches = 0.0, 0
         for lo in range(0, n, cfg.batch_size):

@@ -54,7 +54,7 @@ class TestSyllableParse:
     def test_roundtrip(self):
         for w in [("k", "u"), ("a",), ("s", "i", "n", "˥"), ("ʈʂ", "u", "ŋ", "˧˥")]:
             p = B.parse_syllable(w)
-            assert p is not None and p.word() == w
+            assert p is not None and sum(p.constituents(), ()) == w
 
     def test_polysyllable_rejected(self):
         assert B.parse_syllable(("k", "a", "t", "o")) is None
@@ -285,23 +285,11 @@ class TestClassifiers:
         with pytest.raises(B.BaselineError):
             B.train_site_classifier(sites, "kernel-svm")
 
-    def test_dump_breaks_ties_like_predict(self):
+    def test_predict_breaks_ties_to_smallest_label(self):
         atoms = frozenset({("sym", "A", "t")})
         clf = B.PatternClassifier(B.ContextConfig(), {"A": 0})
         clf.fit([(atoms, "b"), (atoms, "a")])
         assert clf.predict(atoms) == "a"
-        assert clf.dump().splitlines()[1].split("\t")[0] == "a"
-
-    def test_dumps_are_text(self):
-        sites = self._sites(
-            [(("t", "a"), ("t", "a"), ("z", "a"))] * 2,
-            [("t", "a")] * 2,
-        )
-        for kind in ("pattern", "linear"):
-            clf = B.train_site_classifier(sites, kind)
-            text = clf.dump()
-            assert clf.kind in text.splitlines()[0]
-            assert len(text.splitlines()) > 1
 
 
 def _digest(obj) -> str:

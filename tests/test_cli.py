@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -273,3 +275,54 @@ class TestSeedSpecs:
                     workdir / "tiny.ini", "--seeds", "x", "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "'x'" in err[0]
+
+
+def run_fresh(args, **env):
+    """The CLI in a new interpreter, so environment variables are read anew."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, **env}
+    return subprocess.run([sys.executable, "-m", "protoform.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+class TestEnvironment:
+    @pytest.mark.parametrize("command", ["gradcheck", "synth", "train"])
+    def test_bad_dtype_exit_2_with_one_line(self, workdir, tmp_path, command):
+        out = tmp_path / "out"
+        args = {
+            "gradcheck": ["gradcheck"],
+            "synth": ["synth", "--rules", workdir / "rules.txt", "--n-sets", 5,
+                      "--out-file", out],
+            "train": ["train", "--dataset", workdir / "toy.tsv", "--config",
+                      workdir / "tiny.ini", "--seeds", "1@0", "--out", out],
+        }[command]
+        proc = run_fresh(args, PROTOFORM_DTYPE="f16")
+        assert proc.returncode == 2
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "PROTOFORM_DTYPE" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
+    def test_bad_workers_exit_2_before_any_output(self, workdir, tmp_path, capsys,
+                                                  monkeypatch, value):
+        monkeypatch.setenv(cli.WORKERS_ENV, value)
+        out = tmp_path / "out"
+        assert run(["train", "--dataset", workdir / "toy.tsv", "--config",
+                    workdir / "tiny.ini", "--seeds", "2@0", "--out", out]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and repr(value) in err[0]
+        assert not out.exists()
+
+    def test_workers_train_in_the_named_dtype(self, workdir, tmp_path):
+        ini = tmp_path / "one_epoch.ini"
+        ini.write_text(TINY_INI.replace("total_epochs = 6", "total_epochs = 1"),
+                       encoding="utf-8")
+        train = ["train", "--dataset", workdir / "toy.tsv", "--config", ini, "--seeds", "2@0"]
+        runs = {"parallel32": {"PROTOFORM_DTYPE": "float32", "PROTOFORM_WORKERS": "2"},
+                "serial32": {"PROTOFORM_DTYPE": "float32", "PROTOFORM_WORKERS": "1"},
+                "serial64": {"PROTOFORM_DTYPE": "float64", "PROTOFORM_WORKERS": "1"}}
+        for name, env in runs.items():
+            assert run_fresh(train + ["--out", tmp_path / name], **env).returncode == 0
+        for seed in (0, 1):
+            ckpt = {name: (tmp_path / name / f"seed{seed}.ckpt").read_bytes() for name in runs}
+            assert ckpt["parallel32"] == ckpt["serial32"] != ckpt["serial64"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from protoform import engine as E
+from protoform import transformer as T
 
 
 def naive_matmul(a, b):
@@ -91,7 +92,7 @@ class TestBackward:
     def test_cross_entropy_ignored_positions_have_zero_grad(self):
         logits = E.Tensor(E.philox(5).normal(0, 1, (2, 3, 6)), requires_grad=True)
         targets = np.array([[1, 2, 0], [0, 4, 5]])
-        E.backward(E.cross_entropy(logits, targets, ignore_index=0))
+        E.backward(E.cross_entropy(logits, targets))
         assert np.all(logits.grad[0, 2] == 0.0)
         assert np.all(logits.grad[1, 0] == 0.0)
         assert np.any(logits.grad[0, 0] != 0.0)
@@ -162,9 +163,10 @@ class TestAdam:
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_single_step_matches_hand_evaluation(self):
+        # betas 0.9/0.999, eps 1e-8:
         # m=0.1, v=0.001, m_hat=1, v_hat=1 -> p = 1 - 0.1/(1+1e-8)
         p = E.Tensor([1.0], requires_grad=True)
-        st = E.AdamState(beta1=0.9, beta2=0.999, eps=1e-8)
+        st = E.AdamState()
         E.adam_step({"p": p}, {"p": np.array([1.0])}, st, lr=0.1)
         np.testing.assert_allclose(p.data, [1.0 - 0.1 / (1.0 + 1e-8)], rtol=1e-12)
 
@@ -181,17 +183,16 @@ class TestAdam:
 
 
 class TestSchedule:
-    CFG = E.ScheduleCfg(peak_lr=0.00013, warmup_epochs=50, total_epochs=200)
-
+    # ROMANCE: lr 0.00013, 50 warmup epochs of 200
     def test_ramp_start(self):
-        assert E.lr_at(0, self.CFG) == pytest.approx(0.00013 / 50)
+        assert T.lr_at(0, T.ROMANCE) == pytest.approx(0.00013 / 50)
 
     def test_peak_at_warmup_end(self):
-        assert E.lr_at(50, self.CFG) == 0.00013
-        assert E.lr_at(49, self.CFG) == pytest.approx(0.00013)
+        assert T.lr_at(50, T.ROMANCE) == 0.00013
+        assert T.lr_at(49, T.ROMANCE) == pytest.approx(0.00013)
 
     def test_constant_tail(self):
-        assert E.lr_at(199, self.CFG) == 0.00013
+        assert T.lr_at(199, T.ROMANCE) == 0.00013
 
 
 class TestCheckpoint:
@@ -238,7 +239,6 @@ class TestOpSet:
         # ``sum`` stays for the grad-check harness; any other kind the model
         # never builds is dead code
         from protoform import corpus as C
-        from protoform import transformer as T
         from protoform.engine import ops
 
         built = set()

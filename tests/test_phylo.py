@@ -246,6 +246,39 @@ class TestGQD:
         for t in trees:
             assert P.gqd(gold, t) == pytest.approx(brute_force_gqd(gold, t), abs=1e-12)
 
+    def test_irregular_random_trees_vs_brute_force(self):
+        # 4-9 leaves, 2-4 children per node, some unary nodes
+        rng = DetRng(2024)
+
+        def build(names):
+            if len(names) == 1:
+                node = P.TreeNode(name=names[0])
+            else:
+                cuts = sorted({1 + rng.randint(len(names) - 1)
+                               for _ in range(1 + rng.randint(3))})
+                parts = [names[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(names)])]
+                node = P.TreeNode(children=[build(p) for p in parts])
+            return P.TreeNode(children=[node]) if rng.randint(6) == 0 else node
+
+        def random_tree(names):
+            order = list(names)
+            rng.shuffle(order)
+            return build(order)
+
+        unresolved = 0
+        for _ in range(600):
+            names = [f"L{i}" for i in range(4 + rng.randint(6))]
+            gold, test = random_tree(names), random_tree(names)
+            try:
+                expected = brute_force_gqd(gold, test)
+            except ZeroDivisionError:
+                unresolved += 1
+                with pytest.raises(P.PhyloError, match="resolves no quartets"):
+                    P.gqd(gold, test)
+                continue
+            assert P.gqd(gold, test) == pytest.approx(expected, abs=1e-12)
+        assert unresolved < 100
+
     def test_one_swapped_cherry(self):
         gold = P.parse_newick("((A,B),C,(D,E));")
         test = P.parse_newick("((A,C),B,(D,E));")

@@ -335,6 +335,18 @@ class TestCheckpointRoundTrip:
         b = T.greedy_decode(loaded.model, enc, loaded.max_decode_len)
         assert a == b
 
+    def test_vocabulary_round_trip(self, toy, tmp_path):
+        ds, vocab = toy
+        cfg = T.TransformerConfig(d_model=8, n_heads=2, n_encoder_layers=0,
+                                  n_decoder_layers=0, d_feedforward=8)
+        prefix = str(tmp_path / "run")
+        T.TrainedModel(T.Model(cfg, vocab, ds.languages), cfg, vocab, [], 0, 0.0, 20).save(prefix)
+        loaded, built = T.TrainedModel.load(prefix).vocab, build_vocab(ds)
+        assert loaded == built
+        assert loaded.source_index == built.source_index
+        assert loaded.target_index == built.target_index
+        assert [loaded.tgt_id(t) for t in built.target_tokens] == list(range(built.n_target))
+
 
 class TestEndToEndGradient:
     def test_tiny_transformer_matches_finite_differences(self, toy):
