@@ -4,7 +4,8 @@ Subcommands: train, evaluate, baseline, probe, gradcheck, synth.  Every
 command is a pure function of its inputs and seeds: reports carry no
 timestamps, iteration orders are fixed, and reruns produce byte-identical
 outputs.  Exit codes: 0 success, 1 assertion/validation failure, 2 I/O or
-config error.
+config error.  Each command reads and checks every input before it
+creates ``--out``, so a command that fails on its inputs writes nothing.
 """
 
 from __future__ import annotations
@@ -63,9 +64,7 @@ def parse_options_from(args, cp) -> C.ParseOptions:
         if key in sec and sec[key].lower() not in accepted:
             raise CliInputError(f"[corpus] {key} = {sec[key]!r}; choose from {'|'.join(accepted)}")
     proto = args.proto_column or sec.get("proto_column") or None
-    mode = sec.get("mode", "phonetic").lower()
-    if getattr(args, "orthographic", False):
-        mode = "orthographic"
+    mode = "orthographic" if args.orthographic else sec.get("mode", "phonetic").lower()
     strip = args.strip_length or sec.get("strip_length", "false").lower() == "true"
     stress = sec.get("stress", "separate").lower()
     return C.ParseOptions(
@@ -75,27 +74,28 @@ def parse_options_from(args, cp) -> C.ParseOptions:
 
 
 def transformer_config_from(args, cp) -> T.TransformerConfig:
-    preset = getattr(args, "preset", None)
     sec = dict(cp["transformer"]) if cp.has_section("transformer") else {}
-    preset = preset or sec.pop("preset", None)
+    config_preset = sec.pop("preset", None)
+    preset = args.preset or config_preset
     if preset is not None and preset not in T.PRESETS:
         raise CliInputError(f"unknown preset {preset!r}; choose from {sorted(T.PRESETS)}")
     cfg = T.PRESETS[preset] if preset else T.TransformerConfig()
-    if sec:
-        fields = {}
-        for key, raw in sec.items():
-            if key not in T.TransformerConfig.__dataclass_fields__:
-                raise CliInputError(f"unknown [transformer] option {key!r}")
-            kind = T.TransformerConfig.__dataclass_fields__[key].type
-            try:
-                fields[key] = float(raw) if kind == "float" else int(raw)
-            except ValueError:
-                raise CliInputError(f"[transformer] {key} = {raw!r} is not a valid {kind}")
+    fields = {}
+    for key, raw in sec.items():
+        if key == "seed":
+            raise CliInputError("[transformer] seed is not an option; "
+                                "give the run seeds with --seeds")
+        if key not in T.TransformerConfig.__dataclass_fields__:
+            raise CliInputError(f"unknown [transformer] option {key!r}")
+        kind = T.TransformerConfig.__dataclass_fields__[key].type
         try:
-            cfg = replace(cfg, **fields)
-        except ValueError as exc:
-            raise CliInputError(str(exc))
-    return cfg
+            fields[key] = float(raw) if kind == "float" else int(raw)
+        except ValueError:
+            raise CliInputError(f"[transformer] {key} = {raw!r} is not a valid {kind}")
+    try:
+        return replace(cfg, **fields)
+    except ValueError as exc:
+        raise CliInputError(str(exc))
 
 
 def parse_seeds(spec: str) -> list:
@@ -117,32 +117,31 @@ def parse_seeds(spec: str) -> list:
     return out
 
 
-def load_dataset(args, cp) -> tuple:
+def load_splits(args, cp) -> tuple:
+    """((train, val, test), options): the dataset parsed once and split."""
     if not args.dataset:
         raise CliInputError("--dataset is required")
-    if not os.path.exists(args.dataset):
-        raise CliInputError(f"dataset file not found: {args.dataset}")
     options = parse_options_from(args, cp)
     with open(args.dataset, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return C.parse_dataset(text, options), options
+        ds = C.parse_dataset(text, options)
     except C.CorpusError as exc:
         raise CliInputError(f"cannot parse {args.dataset}: {exc}")
+    return C.split_dataset(ds, args.split_seed), options
 
 
 def _echo_config(out_dir: str, args, options: C.ParseOptions, cfg, seeds) -> None:
     cp = configparser.ConfigParser()
     cp["corpus"] = {
-        "dataset": args.dataset or "",
+        "dataset": args.dataset,
         "proto_column": options.proto_column or "",
         "mode": options.tokenizer.mode,
         "strip_length": str(options.tokenizer.strip_length).lower(),
         "stress": options.tokenizer.stress,
         "split_seed": str(args.split_seed),
     }
-    if cfg is not None:
-        cp["transformer"] = {k: repr(v) for k, v in sorted(asdict(cfg).items()) if k != "seed"}
+    cp["transformer"] = {k: repr(v) for k, v in sorted(asdict(cfg).items()) if k != "seed"}
     cp["experiment"] = {"seeds": ",".join(str(s) for s in seeds)}
     with open(os.path.join(out_dir, "config.ini"), "w", encoding="utf-8") as fh:
         cp.write(fh)
@@ -155,13 +154,10 @@ def _echo_config(out_dir: str, args, options: C.ParseOptions, cfg, seeds) -> Non
 def _train_one(payload: dict) -> dict:
     """Runs in a worker process, whose pool initializer set the dtype;
     reads everything else from the payload."""
-    with open(payload["dataset"], encoding="utf-8") as fh:
-        ds = C.parse_dataset(fh.read(), payload["options"])
-    train_ds, val_ds, _ = C.split_dataset(ds, payload["split_seed"])
-    vocab = C.build_vocab(train_ds)
+    train_ds = payload["train"]
     cfg = payload["cfg"].with_seed(payload["seed"])
-    model = T.Model(cfg, vocab, ds.languages)
-    trained = T.train(model, train_ds, val_ds, cfg)
+    model = T.Model(cfg, payload["vocab"], train_ds.languages)
+    trained = T.train(model, train_ds, payload["val"], cfg)
     prefix = payload["prefix"]
     trained.save(prefix)
     with open(prefix + "_history.csv", "w", encoding="utf-8") as fh:
@@ -186,15 +182,16 @@ def _workers() -> int:
 def cmd_train(args) -> int:
     workers = _workers()
     cp = _read_config(args.config)
-    ds, options = load_dataset(args, cp)
     cfg = transformer_config_from(args, cp)
     seeds = parse_seeds(args.seeds)
+    (train_ds, val_ds, _), options = load_splits(args, cp)
+    vocab = C.build_vocab(train_ds)
     os.makedirs(args.out, exist_ok=True)
     _echo_config(args.out, args, options, cfg, seeds)
     payloads = [{
-        "dataset": args.dataset,
-        "options": options,
-        "split_seed": args.split_seed,
+        "train": train_ds,
+        "val": val_ds,
+        "vocab": vocab,
         "cfg": cfg,
         "seed": seed,
         "prefix": os.path.join(args.out, f"seed{seed}"),
@@ -221,8 +218,6 @@ def _load_trained(checkpoint_dir: str, seeds) -> list:
     out = []
     for seed in seeds:
         prefix = os.path.join(checkpoint_dir, f"seed{seed}")
-        if not os.path.exists(prefix + ".ckpt"):
-            raise CliInputError(f"checkpoint not found: {prefix}.ckpt")
         try:
             out.append(T.TrainedModel.load(prefix))
         except KeyError as exc:
@@ -289,24 +284,32 @@ def _aggregate(per_seed: list) -> dict:
     return out
 
 
+BASELINES = {"random": "random-daughter", "majority": "majority-constituent",
+             "pattern": "corpar-style", "linear": "svm-style"}
+
+
+def baseline_kinds(spec: str) -> list:
+    kinds = spec.split(",")
+    for kind in kinds:
+        if kind not in BASELINES:
+            raise CliInputError(f"unknown baseline {kind!r}; choose from {','.join(BASELINES)}")
+    return kinds
+
+
 def _baseline_rows(kinds, train_ds, test_ds, ft, seed) -> list:
     golds = [cs.proto for cs in test_ds.sets]
     rows = []
+    sites = None
     for kind in kinds:
         if kind == "random":
             preds = [B.random_daughter(cs, seed) for cs in test_ds.sets]
-            name = "random-daughter"
         elif kind == "majority":
             preds = [B.majority_constituent(train_ds, cs) for cs in test_ds.sets]
-            name = "majority-constituent"
-        elif kind in ("pattern", "linear"):
-            sites = B.align_cognates(train_ds)
-            clf = B.train_site_classifier(sites, kind, B.ContextConfig(), seed=seed)
-            preds = [B.reconstruct_with_classifier(clf, cs) for cs in test_ds.sets]
-            name = "corpar-style" if kind == "pattern" else "svm-style"
         else:
-            raise CliInputError(f"unknown baseline {kind!r}")
-        rows.append((name, _aggregate([_metric_values(M.evaluate(preds, golds, ft))])))
+            sites = sites or B.align_cognates(train_ds)
+            clf = B.train_site_classifier(sites, kind, seed=seed)
+            preds = [B.reconstruct_with_classifier(clf, cs) for cs in test_ds.sets]
+        rows.append((BASELINES[kind], _aggregate([_metric_values(M.evaluate(preds, golds, ft))])))
     return rows
 
 
@@ -318,31 +321,28 @@ def _feature_table_for(options: C.ParseOptions):
 
 def cmd_evaluate(args) -> int:
     cp = _read_config(args.config)
-    ds, options = load_dataset(args, cp)
     seeds = parse_seeds(args.seeds)
-    train_ds, _, test_ds = C.split_dataset(ds, args.split_seed)
+    kinds = baseline_kinds(args.baselines) if args.baselines else []
+    (train_ds, _, test_ds), options = load_splits(args, cp)
+    trained = _load_trained(args.checkpoints or args.out, seeds)
+    expected = C.build_vocab(train_ds)
+    if any(tm.vocab != expected for tm in trained):
+        raise ValidationFailure(
+            "checkpoint vocabulary does not match this dataset/split; "
+            "evaluate with the dataset and split seed used for training"
+        )
     ft = _feature_table_for(options)
     golds = [cs.proto for cs in test_ds.sets]
-    os.makedirs(args.out, exist_ok=True)
-
-    rows = []
-    ckpt_dir = args.checkpoints or args.out
-    trained = _load_trained(ckpt_dir, seeds)
-    expected = C.build_vocab(train_ds)
     per_seed = []
     empty_total = 0
     for tm in trained:
-        if (tm.vocab.source_tokens != expected.source_tokens
-                or tm.vocab.target_tokens != expected.target_tokens):
-            raise ValidationFailure(
-                "checkpoint vocabulary does not match this dataset/split; "
-                "evaluate with the dataset and split seed used for training"
-            )
-        enc = C.encode_dataset(test_ds, tm.vocab)
-        preds = T.greedy_decode(tm.model, enc, tm.max_decode_len)
+        preds = T.greedy_decode(tm.model, C.encode_dataset(test_ds, tm.vocab), tm.max_decode_len)
         empty_total += sum(not p for p in preds)
         per_seed.append(_metric_values(M.evaluate(preds, golds, ft)))
-    rows.append(("transformer", _aggregate(per_seed)))
+    rows = [("transformer", _aggregate(per_seed))]
+    rows += _baseline_rows(kinds, train_ds, test_ds, ft, seeds[0])
+
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "per_seed.csv"), "w", encoding="utf-8") as fh:
         fh.write("seed," + ",".join(c.lower().rstrip("%") for c in COLUMNS) + "\n")
         for seed, m in zip(seeds, per_seed):
@@ -350,22 +350,16 @@ def cmd_evaluate(args) -> int:
                 "" if m[c] is None else f"{m[c]:.6f}" for c in COLUMNS) + "\n")
     if empty_total:
         print(f"note: {empty_total} empty prediction(s) across seeds")
-
-    if args.baselines:
-        rows.extend(_baseline_rows(args.baselines.split(","), train_ds, test_ds,
-                                   ft, seeds[0]))
     _write_results(args.out, rows)
     return 0
 
 
 def cmd_baseline(args) -> int:
     cp = _read_config(args.config)
-    ds, options = load_dataset(args, cp)
-    train_ds, _, test_ds = C.split_dataset(ds, args.split_seed)
-    ft = _feature_table_for(options)
+    kinds = baseline_kinds(args.kinds)
+    (train_ds, _, test_ds), options = load_splits(args, cp)
+    rows = _baseline_rows(kinds, train_ds, test_ds, _feature_table_for(options), args.seed)
     os.makedirs(args.out, exist_ok=True)
-    kinds = args.kinds.split(",")
-    rows = _baseline_rows(kinds, train_ds, test_ds, ft, args.seed)
     _write_results(args.out, rows)
     return 0
 
@@ -379,30 +373,29 @@ def cmd_probe(args) -> int:
         raise CliInputError(f"--consensus-threshold {args.consensus_threshold} must be at "
                             "least 0.5 (lower can keep incompatible clades)")
     seeds = parse_seeds(args.seeds)
-    trained = _load_trained(args.checkpoints, seeds)
-    os.makedirs(args.out, exist_ok=True)
-    dendros = []
-    for seed, tm in zip(seeds, trained):
-        embs = T.extract_language_embeddings(tm.model)
-        m = P.cosine_distance_matrix(embs)
-        tree = P.ward_cluster(m)
-        P.write_newick(os.path.join(args.out, f"seed{seed}.nwk"), tree)
-        P.write_distance_csv(os.path.join(args.out, f"seed{seed}_distances.csv"), m)
-        dendros.append(tree)
-    cons = P.consensus(dendros, threshold=args.consensus_threshold)
-    P.write_newick(os.path.join(args.out, "consensus.nwk"), cons)
-    lines = [f"runs: {len(dendros)}",
-             f"consensus: {P.serialize_newick(cons)}"]
+    gold = None
     if args.gold_tree:
-        if not os.path.exists(args.gold_tree):
-            raise CliInputError(f"gold tree not found: {args.gold_tree}")
         try:
             gold = P.load_newick(args.gold_tree)
         except P.PhyloError as exc:
             raise CliInputError(f"cannot parse gold tree: {exc}")
+    trained = _load_trained(args.checkpoints, seeds)
+    matrices = [P.cosine_distance_matrix(T.extract_language_embeddings(tm.model))
+                for tm in trained]
+    dendros = [P.ward_cluster(m) for m in matrices]
+    cons = P.consensus(dendros, threshold=args.consensus_threshold)
+    lines = [f"runs: {len(dendros)}",
+             f"consensus: {P.serialize_newick(cons)}"]
+    if gold is not None:
         lines.append(f"gqd_consensus: {P.gqd(gold, cons):.6f}")
         lines.append("gqd_per_seed: " + ",".join(f"{P.gqd(gold, t):.6f}" for t in dendros))
     summary = "\n".join(lines) + "\n"
+
+    os.makedirs(args.out, exist_ok=True)
+    for seed, m, tree in zip(seeds, matrices, dendros):
+        P.write_newick(os.path.join(args.out, f"seed{seed}.nwk"), tree)
+        P.write_distance_csv(os.path.join(args.out, f"seed{seed}_distances.csv"), m)
+    P.write_newick(os.path.join(args.out, "consensus.nwk"), cons)
     sys.stdout.write(summary)
     with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(summary)
@@ -426,8 +419,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if not os.path.exists(args.rules):
-        raise CliInputError(f"rules file not found: {args.rules}")
     try:
         rules = S.load_rules(args.rules)
         tsv = S.generate_tsv(rules, args.n_sets, args.n_daughters or len(rules.daughters),
@@ -473,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     dataset_flags(p)
     p.add_argument("--seeds", default="10@0")
     p.add_argument("--checkpoints", default=None, help="directory with seedN.ckpt (default: --out)")
-    p.add_argument("--baselines", default="", help="comma list: random,majority,pattern,linear")
+    p.add_argument("--baselines", default="", help="comma list of " + ",".join(BASELINES))
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_evaluate)
 
@@ -520,8 +511,7 @@ def main(argv=None) -> int:
     try:
         _dtype_from_env()
         return args.handler(args)
-    except (CliInputError, FileNotFoundError, IsADirectoryError, PermissionError,
-            configparser.Error) as exc:
+    except (CliInputError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValidationFailure, C.CorpusError, E.EngineError, M.MetricsError,

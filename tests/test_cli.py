@@ -41,6 +41,17 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
+def run_fails(args, code, capsys):
+    """Runs a command that must exit with ``code`` after one stderr line and
+    leave no ``--out`` behind; returns the line."""
+    out = args[args.index("--out") + 1]
+    assert run(args) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:" if code == 2 else "failure:")
+    assert not out.exists()
+    return err[0]
+
+
 class TestSynthCommand:
     def test_byte_identical_reruns(self, workdir):
         a, b = workdir / "a.tsv", workdir / "b.tsv"
@@ -103,10 +114,11 @@ class TestTrainEvaluate:
         assert run(["train", "--dataset", workdir / "missing.tsv", "--seeds", "1@0",
                     "--out", workdir / "x"]) == 2
 
-    def test_missing_checkpoint_exit_2(self, workdir):
-        assert run(["evaluate", "--dataset", workdir / "toy.tsv", "--config",
-                    workdir / "tiny.ini", "--seeds", "5@0",
-                    "--checkpoints", workdir / "run", "--out", workdir / "y"]) == 2
+    def test_missing_checkpoint_exit_2(self, workdir, tmp_path, capsys):
+        err = run_fails(["evaluate", "--dataset", workdir / "toy.tsv", "--config",
+                         workdir / "tiny.ini", "--seeds", "5@0",
+                         "--checkpoints", workdir / "run", "--out", tmp_path / "y"], 2, capsys)
+        assert "seed2" in err
 
 
     def _copy_run(self, workdir, name):
@@ -148,6 +160,7 @@ class TestBadConfig:
         "warmup_epochs = -1",
         "lr = 0",
         "weight_decay = -1e-3",
+        "seed = 7",
     ])
     def test_exit_2_with_one_line(self, workdir, tmp_path, capsys, line):
         key = line.split(" = ")[0]
@@ -159,6 +172,15 @@ class TestBadConfig:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert key in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_preset_flag_wins_over_config_preset(self, workdir, tmp_path):
+        ini = tmp_path / "preset.ini"
+        ini.write_text("[transformer]\npreset = romance\n", encoding="utf-8")
+        args = cli.build_parser().parse_args(
+            ["train", "--config", str(ini), "--preset", "sinitic", "--out", "unused"])
+        cp = cli._read_config(args.config)
+        assert cli.transformer_config_from(args, cp) == cli.T.SINITIC
 
 
 class TestBadCorpusConfig:
@@ -210,17 +232,23 @@ class TestProbe:
         summary = (out / "summary.txt").read_text()
         assert "gqd_consensus:" in summary
 
-    def test_gold_leaf_mismatch_exit_1(self, workdir):
+    def test_gold_leaf_mismatch_exit_1(self, workdir, tmp_path, capsys):
         gold = workdir / "bad_gold.nwk"
         gold.write_text("((A,B),(C,D));", encoding="utf-8")
-        assert run(["probe", "--checkpoints", workdir / "run", "--seeds", "2@0",
-                    "--gold-tree", gold, "--out", workdir / "probe_bad"]) == 1
+        run_fails(["probe", "--checkpoints", workdir / "run", "--seeds", "2@0",
+                   "--gold-tree", gold, "--out", tmp_path / "probe_bad"], 1, capsys)
 
-    def test_unparseable_gold_exit_2(self, workdir):
+    def test_unparseable_gold_exit_2(self, workdir, tmp_path, capsys):
         gold = workdir / "broken.nwk"
         gold.write_text("((A,B", encoding="utf-8")
-        assert run(["probe", "--checkpoints", workdir / "run", "--seeds", "2@0",
-                    "--gold-tree", gold, "--out", workdir / "probe_broken"]) == 2
+        run_fails(["probe", "--checkpoints", workdir / "run", "--seeds", "2@0",
+                   "--gold-tree", gold, "--out", tmp_path / "probe_broken"], 2, capsys)
+
+    def test_missing_gold_exit_2(self, workdir, tmp_path, capsys):
+        err = run_fails(["probe", "--checkpoints", workdir / "run", "--seeds", "2@0",
+                         "--gold-tree", workdir / "nope.nwk", "--out", tmp_path / "probe_nogold"],
+                        2, capsys)
+        assert "nope.nwk" in err
 
     @pytest.mark.parametrize("threshold", ["0.4", "nan"])
     def test_consensus_threshold_below_half_exit_2_before_any_output(
@@ -231,6 +259,70 @@ class TestProbe:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "0.5" in err[0]
         assert not out.exists()
+
+
+class TestFailureWritesNothing:
+    def test_unknown_baseline_exit_2(self, workdir, tmp_path, capsys):
+        err = run_fails(["evaluate", "--dataset", workdir / "toy.tsv", "--config",
+                          workdir / "tiny.ini", "--seeds", "2@0", "--checkpoints",
+                          workdir / "run", "--baselines", "random,bogus",
+                          "--out", tmp_path / "out"], 2, capsys)
+        assert "'bogus'" in err
+
+    def test_unknown_baseline_kind_exit_2(self, workdir, tmp_path, capsys):
+        err = run_fails(["baseline", "--dataset", workdir / "toy.tsv",
+                          "--kinds", "random,bogus", "--out", tmp_path / "out"], 2, capsys)
+        assert "'bogus'" in err
+
+    def test_unsupported_majority_exit_1(self, workdir, tmp_path, capsys):
+        # synth5 forms are polysyllabic, so the majority baseline refuses them
+        err = run_fails(["evaluate", "--dataset", workdir / "toy.tsv", "--config",
+                          workdir / "tiny.ini", "--seeds", "2@0", "--checkpoints",
+                          workdir / "run", "--baselines", "random,majority",
+                          "--out", tmp_path / "out"], 1, capsys)
+        assert "monosyllabic" in err
+
+    def test_dataset_too_small_to_split_exit_1(self, workdir, tmp_path, capsys):
+        tsv = tmp_path / "five.tsv"
+        assert run(["synth", "--rules", workdir / "rules.txt", "--n-sets", 5,
+                    "--seed", 1, "--out-file", tsv]) == 0
+        capsys.readouterr()
+        err = run_fails(["train", "--dataset", tsv, "--config", workdir / "tiny.ini",
+                          "--seeds", "1@0", "--out", tmp_path / "out"], 1, capsys)
+        assert "too small" in err
+
+    @pytest.mark.parametrize("command", ["train", "baseline", "probe"])
+    def test_out_naming_a_file_exit_2(self, workdir, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        args = {
+            "train": ["train", "--dataset", workdir / "toy.tsv", "--config",
+                      workdir / "tiny.ini", "--seeds", "1@0"],
+            "baseline": ["baseline", "--dataset", workdir / "toy.tsv", "--kinds", "random"],
+            "probe": ["probe", "--checkpoints", workdir / "run", "--seeds", "1@0"],
+        }[command]
+        assert run(args + ["--out", taken]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "taken" in err[0]
+        assert taken.read_text(encoding="utf-8") == ""
+
+
+class TestOneParsePerRun:
+    def test_train_parses_the_dataset_once(self, workdir, tmp_path, monkeypatch):
+        calls = []
+        real = cli.C.parse_dataset
+
+        def counted(*a, **k):
+            calls.append(1)
+            return real(*a, **k)
+
+        monkeypatch.setattr(cli.C, "parse_dataset", counted)
+        ini = tmp_path / "one_epoch.ini"
+        ini.write_text(TINY_INI.replace("total_epochs = 6", "total_epochs = 1"),
+                       encoding="utf-8")
+        assert run(["train", "--dataset", workdir / "toy.tsv", "--config", ini,
+                    "--seeds", "2@0", "--out", tmp_path / "out"]) == 0
+        assert len(calls) == 1
 
 
 class TestGradcheckCommand:
