@@ -9,6 +9,7 @@ trained by SGD ("SVM-style"; deliberately not a kernel QP solver).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +57,13 @@ class SyllableParse:
         return (self.onset, self.nucleus, self.coda, tone)
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def parse_syllable(word: Word) -> SyllableParse | None:
     """Onset + nucleus + coda + optional trailing tone; None if the word is
-    not a single syllable (internal tones, several vowel runs, no vowel)."""
+    not a single syllable (internal tones, several vowel runs, no vowel).
+
+    Memoised: ``majority_constituent`` re-checks the whole training split
+    through ``supports_majority_constituent`` on every call."""
     toks = list(word)
     tone = None
     if toks and token_class(toks[-1]) == "tone":

@@ -421,8 +421,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_synth(args) -> int:
     try:
         rules = S.load_rules(args.rules)
-        tsv = S.generate_tsv(rules, args.n_sets, args.n_daughters or len(rules.daughters),
-                             args.seed)
+        n_daughters = len(rules.daughters) if args.n_daughters is None else args.n_daughters
+        tsv = S.generate_tsv(rules, args.n_sets, n_daughters, args.seed)
     except S.SynthError as exc:
         raise CliInputError(str(exc))
     if args.out_file == "-":

@@ -65,6 +65,15 @@ class TestSynthCommand:
                     "--out-file", "-"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [0, -1, 99])
+    def test_daughter_count_out_of_range_exit_2(self, workdir, tmp_path, capsys, n):
+        out = tmp_path / "out.tsv"
+        assert run(["synth", "--rules", workdir / "rules.txt", "--n-sets", 5,
+                    "--n-daughters", n, "--out-file", out]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "n_daughters" in err[0]
+        assert not out.exists()
+
 
 class TestTrainEvaluate:
     def test_train_writes_artifacts(self, workdir):

@@ -188,6 +188,67 @@ class TestGreedyDecode:
             assert all(t not in C.SPECIALS for t in w)
 
 
+class TestDecodeGolden:
+    # Words of a random-init TINY model on the toy fixture, max_len 8, as
+    # decoded by re-running the decoder over the whole prefix at every
+    # step (before greedy decoding used a key/value cache); "-" is the
+    # empty word.  Float64 and float32 decode the same words.  Scaling
+    # every parameter by 6 makes rows end at different steps: at step 0,
+    # at step 3 and at max_len.
+    GOLDEN = {
+        1.0: "nuiupnnn nuiinnnn nuiinnnn nuiupnnn nuiinnnn nuiinnnn nuiupnnn nuiunnnn "
+             "nuiinnnn nuiunnnn nuiupnnn nuiinnnn nuiunnnn nuiunnnn nuiinnnn nuiinnnn "
+             "nuiupnnn nuiinnnn nuiunnnn nuiunnnn nuiinnnn nuiunnnn nuiupnnn nuiinnnn",
+        6.0: "pppppppp pppppppp - pppppppp pppppppp pppppppp pnpppppp pppppppp "
+             "pppppppp pppppppp pppppppp pnnnnnnn pppppppn pppppppp pppppppp pppppppp "
+             "pppppppp pppppppp pppppppp nnnnpnnn pnnnnnnn pppppppp npnnnnnn ppp",
+    }
+    MAX_LEN = 8
+
+    @pytest.fixture(params=["float64", "float32"])
+    def dtype(self, request):
+        prev = np.dtype(E.default_dtype()).name
+        E.set_default_dtype(request.param)
+        yield request.param
+        E.set_default_dtype(prev)
+
+    @staticmethod
+    def scaled_model(ds, vocab, scale):
+        model = T.Model(TINY, vocab, ds.languages)
+        for p in model.params.values():
+            p.data *= scale
+        return model
+
+    @pytest.mark.parametrize("scale", sorted(GOLDEN))
+    @pytest.mark.parametrize("chunk", [1, 3, 128])
+    def test_words_match_recorded(self, toy, dtype, scale, chunk):
+        ds, vocab = toy
+        model = self.scaled_model(ds, vocab, scale)
+        words = T.greedy_decode(model, C.encode_dataset(ds, vocab), self.MAX_LEN, chunk=chunk)
+        assert " ".join("".join(w) or "-" for w in words) == self.GOLDEN[scale]
+
+    @pytest.mark.parametrize("scale", sorted(GOLDEN))
+    def test_words_are_the_teacher_forced_argmax(self, toy, dtype, scale):
+        ds, vocab = toy
+        model = self.scaled_model(ds, vocab, scale)
+        enc = C.encode_dataset(ds, vocab)
+        words = T.greedy_decode(model, enc, self.MAX_LEN)
+        tgt = np.full((len(words), self.MAX_LEN + 1), C.PAD_ID, dtype=np.int64)
+        for r, word in enumerate(words):
+            ids = [C.BOS_ID] + [vocab.tgt_id(t) for t in word]
+            if len(word) < self.MAX_LEN:
+                ids.append(C.EOS_ID)
+            tgt[r, :len(ids)] = ids
+        batch = T.collate(enc)
+        with E.no_grad():
+            logits = model.decode_batch(model.encode_batch(batch), tgt[:, :-1],
+                                        batch.src_pad).data
+        logits[..., [C.PAD_ID, C.BOS_ID, C.UNK_ID]] = -np.inf
+        for r, word in enumerate(words):
+            n = len(word) + (len(word) < self.MAX_LEN)
+            assert list(logits[r, :n].argmax(axis=-1)) == list(tgt[r, 1:n + 1]), r
+
+
 class TestTraining:
     def test_epoch_zero_loss_near_log_vocab(self, toy):
         ds, vocab = toy

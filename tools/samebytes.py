@@ -1,0 +1,163 @@
+"""Check that this tree writes the same bytes as another revision.
+
+    python tools/samebytes.py --against REV
+
+Checks REV out into a temporary git worktree, then runs one fixed sequence
+of ``protoform`` commands under each tree, with ``PYTHONPATH`` at that
+tree's ``src/``, each in a fresh directory:
+
+- the determinism sequence of acceptance criterion C8 (``synth``, a
+  one-seed ``train``, ``evaluate`` with three baselines);
+- a float32 two-seed ``train`` with two worker processes;
+- ``probe --gold-tree`` on those two checkpoints;
+- ``baseline``.
+
+Every file written and every command's stdout are compared byte for byte.
+Exit status: 0 when all are identical; 1 on a difference, naming the first
+differing file in the order the commands wrote them; 2 when REV cannot be
+checked out or a command fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+TINY_INI = """\
+[transformer]
+d_model = 16
+n_heads = 2
+n_encoder_layers = 1
+n_decoder_layers = 1
+d_feedforward = 32
+dropout_p = 0.1
+lr = 0.002
+warmup_epochs = 1
+total_epochs = 3
+weight_decay = 0
+batch_size = 8
+"""
+
+# A phylogeny over the five daughters of synth5.rules.
+GOLD_TREE = "((Alba,Bruna),(Cara,(Dola,Esta)));\n"
+
+RULES = os.path.join("src", "protoform", "data", "synth5.rules")
+
+# (step name, extra environment, arguments); "{rules}" is the tree's rules file.
+STEPS = [
+    ("synth", {}, ["synth", "--rules", "{rules}", "--n-sets", "40", "--seed", "3",
+                   "--out-file", "toy.tsv"]),
+    ("train", {}, ["train", "--dataset", "toy.tsv", "--config", "tiny.ini",
+                   "--seeds", "1@0", "--out", "run"]),
+    ("evaluate", {}, ["evaluate", "--dataset", "toy.tsv", "--config", "tiny.ini",
+                      "--seeds", "1@0", "--checkpoints", "run",
+                      "--baselines", "random,pattern,linear", "--out", "run"]),
+    ("train-float32", {"PROTOFORM_DTYPE": "float32", "PROTOFORM_WORKERS": "2"},
+     ["train", "--dataset", "toy.tsv", "--config", "tiny.ini", "--seeds", "2@0",
+      "--out", "run32"]),
+    ("probe", {}, ["probe", "--checkpoints", "run32", "--seeds", "2@0",
+                   "--gold-tree", "gold.nwk", "--out", "probe"]),
+    ("baseline", {}, ["baseline", "--dataset", "toy.tsv", "--kinds", "random,pattern,linear",
+                      "--out", "base"]),
+]
+
+
+class StepFailed(Exception):
+    pass
+
+
+def run_steps(tree: str, workdir: str) -> dict[str, bytes]:
+    """Runs ``STEPS`` under ``tree`` in ``workdir``; returns every stdout and
+    every file written, keyed in the order they first appeared."""
+    os.makedirs(workdir)
+    with open(os.path.join(workdir, "tiny.ini"), "w", encoding="utf-8") as fh:
+        fh.write(TINY_INI)
+    with open(os.path.join(workdir, "gold.nwk"), "w", encoding="utf-8") as fh:
+        fh.write(GOLD_TREE)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PROTOFORM_")}
+    env["PYTHONPATH"] = os.path.join(tree, "src")
+    order = []
+    seen = {"tiny.ini", "gold.nwk"}
+    stdout = {}
+    for name, extra, args in STEPS:
+        argv = [a.replace("{rules}", os.path.join(tree, RULES)) for a in args]
+        proc = subprocess.run([sys.executable, "-m", "protoform.cli", *argv], cwd=workdir,
+                              env=env | extra, capture_output=True)
+        if proc.returncode != 0:
+            err = proc.stderr.decode(errors="replace").strip().splitlines()
+            raise StepFailed(f"step {name!r} exited {proc.returncode} under {tree}: "
+                             + (err[-1] if err else "no output"))
+        key = f"<stdout of {name}>"
+        stdout[key] = proc.stdout
+        order.append(key)
+        for dirpath, _, files in sorted(os.walk(workdir)):
+            for f in sorted(files):
+                rel = os.path.relpath(os.path.join(dirpath, f), workdir)
+                if rel not in seen:
+                    seen.add(rel)
+                    order.append(rel)
+    out = {}
+    for key in order:
+        if key in stdout:
+            out[key] = stdout[key]
+        else:
+            with open(os.path.join(workdir, key), "rb") as fh:
+                out[key] = fh.read()
+    return out
+
+
+def first_difference(mine: dict, theirs: dict) -> str | None:
+    """The first artifact of ``mine`` (then of ``theirs``) that is missing
+    from the other or differs from it byte for byte."""
+    for key in list(mine) + [k for k in theirs if k not in mine]:
+        if mine.get(key) != theirs.get(key):
+            return key
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, help="git revision to compare with")
+    args = parser.parse_args(argv)
+    rev = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", "--quiet",
+                          args.against + "^{commit}"], capture_output=True, text=True)
+    if rev.returncode != 0:
+        print(f"error: {args.against!r} is not a commit of {ROOT}", file=sys.stderr)
+        return 2
+    commit = rev.stdout.strip()
+    tmp = tempfile.mkdtemp(prefix="samebytes-")
+    other = os.path.join(tmp, "tree")
+    try:
+        add = subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", other, commit],
+                             capture_output=True, text=True)
+        if add.returncode != 0:
+            print(f"error: cannot check out {args.against}: {add.stderr.strip()}",
+                  file=sys.stderr)
+            return 2
+        try:
+            mine = run_steps(ROOT, os.path.join(tmp, "mine"))
+            theirs = run_steps(other, os.path.join(tmp, "theirs"))
+        except StepFailed as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", other],
+                       capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+    diff = first_difference(mine, theirs)
+    if diff is not None:
+        print(f"DIFFERENT: {diff} (this tree vs {args.against} at {commit[:12]})")
+        return 1
+    print(f"same bytes: {len(mine)} artifacts of {len(STEPS)} commands match "
+          f"{args.against} at {commit[:12]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
