@@ -71,17 +71,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
-
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
 

@@ -102,7 +102,6 @@ class Batch:
     lang: np.ndarray      # (B, S) daughter language indices
     src_pad: np.ndarray   # (B, S) True at padding
     tgt: np.ndarray       # (B, T) BOS + proto + EOS, PAD-padded
-    set_ids: list
 
     @property
     def tgt_in(self):
@@ -129,7 +128,7 @@ def collate(examples) -> Batch:
         lang[b, :n] = e.languages
         pad[b, :n] = False
         tgt[b, :len(e.target)] = e.target
-    return Batch(src, pos, lang, pad, tgt, [e.set_id for e in examples])
+    return Batch(src, pos, lang, pad, tgt)
 
 
 @dataclass
@@ -144,15 +143,6 @@ class _DropCtx:
 
 
 _EVAL = _DropCtx(seed=0, step=0, p=0.0)
-
-
-@dataclass
-class DecodeState:
-    """Per-batch cache of ``Model.decode_step``."""
-    cross: list            # per decoder layer: cross-attention (k, v) of the memory
-    cross_mask: np.ndarray
-    self_kv: list          # per decoder layer: self-attention (k, v) so far, or None
-    t: int = 0             # position of the next input token
 
 
 class Model:
@@ -241,7 +231,7 @@ class Model:
         v = E.transpose(E.reshape(v, (B, Tk, H, dh)), (0, 2, 1, 3))
         return k, v
 
-    def _attend(self, q_in, kv, fill_mask, prefix, drop, site, trace=None):
+    def _attend(self, q_in, kv, fill_mask, prefix, drop, site):
         """Project the queries, attend over ``kv`` (from ``_project_kv``) and
         project the merged heads out."""
         H = self.cfg.n_heads
@@ -253,10 +243,7 @@ class Model:
         scores = E.scale(E.matmul(q, k), 1.0 / np.sqrt(dh))
         if fill_mask is not None:
             scores = E.masked_fill(scores, fill_mask, -np.inf)
-        attn = E.softmax(scores)
-        if trace is not None:
-            trace[prefix] = attn.data
-        attn = drop(attn, site)
+        attn = drop(E.softmax(scores), site)
         out = E.matmul(attn, v)
         out = E.reshape(E.transpose(out, (0, 2, 1, 3)), (B, Tq, d))
         return self._linear(out, f"{prefix}.wo", f"{prefix}.bo")
@@ -268,7 +255,7 @@ class Model:
 
     # -- forward ----------------------------------------------------------
 
-    def encode_batch(self, batch: Batch, drop=_EVAL, trace=None):
+    def encode_batch(self, batch: Batch, drop=_EVAL):
         """Memory over the concatenated daughter sequence, (B, S, d_model)."""
         if batch.src.shape[1] > MAX_SOURCE_LEN:
             raise E.EngineError(
@@ -284,69 +271,56 @@ class Model:
             # keys and values passed inline die with the block: holding them
             # across layers raised peak memory by ~10% at batch 128
             h = self._attend(x, self._project_kv(x, f"enc{i}.attn"), key_mask, f"enc{i}.attn",
-                             drop, base, trace)
+                             drop, base)
             x = self._ln(E.add(x, drop(h, base + 1)), f"enc{i}.ln1")
             f = self._feedforward(x, f"enc{i}.ff", drop, base + 2)
             x = self._ln(E.add(x, drop(f, base + 3)), f"enc{i}.ln2")
         return x
 
-    def _decoder_layer(self, i, x, self_kv, self_mask, cross_kv, cross_mask, drop, trace):
-        base = 1000 + 8 * i
-        h = self._attend(x, self_kv, self_mask, f"dec{i}.self", drop, base, trace)
-        x = self._ln(E.add(x, drop(h, base + 1)), f"dec{i}.ln1")
-        c = self._attend(x, cross_kv, cross_mask, f"dec{i}.cross", drop, base + 2, trace)
-        x = self._ln(E.add(x, drop(c, base + 3)), f"dec{i}.ln2")
-        f = self._feedforward(x, f"dec{i}.ff", drop, base + 4)
-        return self._ln(E.add(x, drop(f, base + 5)), f"dec{i}.ln3")
-
     def decode_batch(self, memory, tgt_in: np.ndarray, src_pad: np.ndarray,
-                     drop=_EVAL, trace=None):
-        """Teacher-forced decoder logits, (B, T, n_target)."""
-        B, T = tgt_in.shape
-        x = E.embedding_lookup(self.params["tgt_emb"], tgt_in)
-        x = E.add(x, E.Tensor(self.pe[:T]))
+                     drop=_EVAL, cache=None):
+        """Decoder logits for positions ``t..T-1`` of ``tgt_in``,
+        (B, T - t, n_target), where ``t`` is the number of positions held in
+        ``cache`` (0 without one).
+
+        Teacher forcing passes no cache.  Greedy decoding passes the same
+        list, empty at first, with the whole prefix at every step: each
+        call appends the new positions' self-attention keys and values to
+        every layer's entry, and only the first projects the cross-attention
+        keys and values of ``memory``.
+        """
+        T = tgt_in.shape[1]
+        cached = bool(cache)  # decided once: the loop below fills an empty cache
+        t = cache[0][1].data.shape[2] if cached else 0   # values are (B, H, t, dh)
+        x = E.embedding_lookup(self.params["tgt_emb"], tgt_in[:, t:])
+        x = E.add(x, E.Tensor(self.pe[t:T]))
         x = drop(x, 2)
-        causal = np.triu(np.ones((T, T), dtype=bool), k=1)
+        causal = np.triu(np.ones((T, T), dtype=bool), k=1)[t:]
         self_mask = causal[None, None] | (tgt_in == PAD_ID)[:, None, None, :]
         cross_mask = src_pad[:, None, None, :]
         for i in range(self.cfg.n_decoder_layers):
-            x = self._decoder_layer(i, x, self._project_kv(x, f"dec{i}.self"), self_mask,
-                                    self._project_kv(memory, f"dec{i}.cross"), cross_mask,
-                                    drop, trace)
-        return self._linear(x, "out.w", "out.b")
-
-    def start_decode(self, memory, src_pad: np.ndarray) -> DecodeState:
-        """State for incremental decoding over ``memory``; projects each
-        layer's cross-attention keys and values once."""
-        cross = [self._project_kv(memory, f"dec{i}.cross")
-                 for i in range(self.cfg.n_decoder_layers)]
-        return DecodeState(cross, src_pad[:, None, None, :], [None] * len(cross))
-
-    def decode_step(self, state: DecodeState, tokens: np.ndarray):
-        """Logits (B, 1, n_target) for the position after ``tokens``, each
-        row's token at position ``state.t``; evaluation mode only.
-
-        Runs the decoder on that one position.  Its self-attention keys and
-        values are appended to the cache, which then holds positions
-        ``0..t``: causality needs no mask, and a decoded prefix has no PAD.
-        """
-        t = state.t
-        x = E.embedding_lookup(self.params["tgt_emb"], tokens[:, None])
-        x = E.add(x, E.Tensor(self.pe[t:t + 1]))
-        for i, cached in enumerate(state.self_kv):
             k, v = self._project_kv(x, f"dec{i}.self")
-            if cached is not None:
-                k = E.Tensor(np.concatenate([cached[0].data, k.data], axis=-1))
-                v = E.Tensor(np.concatenate([cached[1].data, v.data], axis=-2))
-            state.self_kv[i] = (k, v)
-            x = self._decoder_layer(i, x, (k, v), None, state.cross[i], state.cross_mask,
-                                    _EVAL, None)
-        state.t = t + 1
+            if cached:
+                k0, v0, cross_kv = cache[i]
+                k = E.Tensor(np.concatenate([k0.data, k.data], axis=-1))
+                v = E.Tensor(np.concatenate([v0.data, v.data], axis=-2))
+                cache[i] = (k, v, cross_kv)
+            else:
+                cross_kv = self._project_kv(memory, f"dec{i}.cross")
+                if cache is not None:
+                    cache.append((k, v, cross_kv))
+            base = 1000 + 8 * i
+            h = self._attend(x, (k, v), self_mask, f"dec{i}.self", drop, base)
+            x = self._ln(E.add(x, drop(h, base + 1)), f"dec{i}.ln1")
+            c = self._attend(x, cross_kv, cross_mask, f"dec{i}.cross", drop, base + 2)
+            x = self._ln(E.add(x, drop(c, base + 3)), f"dec{i}.ln2")
+            f = self._feedforward(x, f"dec{i}.ff", drop, base + 4)
+            x = self._ln(E.add(x, drop(f, base + 5)), f"dec{i}.ln3")
         return self._linear(x, "out.w", "out.b")
 
-    def loss_batch(self, batch: Batch, drop=_EVAL, trace=None):
-        memory = self.encode_batch(batch, drop, trace)
-        logits = self.decode_batch(memory, batch.tgt_in, batch.src_pad, drop, trace)
+    def loss_batch(self, batch: Batch, drop=_EVAL):
+        memory = self.encode_batch(batch, drop)
+        logits = self.decode_batch(memory, batch.tgt_in, batch.src_pad, drop)
         return E.cross_entropy(logits, batch.tgt_out)
 
 
@@ -363,11 +337,12 @@ def greedy_decode(model: Model, examples, max_len: int, chunk: int = 128):
         batch = collate(group)
         B = len(group)
         with E.no_grad():
-            state = model.start_decode(model.encode_batch(batch), batch.src_pad)
+            memory = model.encode_batch(batch)
+            cache = []
             ys = np.full((B, 1), BOS_ID, dtype=np.int64)
             done = np.zeros(B, dtype=bool)
             for _ in range(max_len):
-                logits = model.decode_step(state, ys[:, -1])
+                logits = model.decode_batch(memory, ys, batch.src_pad, cache=cache)
                 last = logits.data[:, -1, :].copy()
                 last[:, banned] = -np.inf
                 nxt = np.argmax(last, axis=-1)
@@ -434,7 +409,7 @@ class TrainedModel:
 
 
 def train(model: Model, train_split: Dataset, val_split: Dataset,
-          cfg: TransformerConfig, log=None) -> TrainedModel:
+          cfg: TransformerConfig) -> TrainedModel:
     """Teacher-forced minibatch training with early stopping.
 
     After every epoch the validation split is greedy-decoded and scored by
@@ -479,8 +454,6 @@ def train(model: Model, train_split: Dataset, val_split: Dataset,
             "train_loss": loss_sum / loss_batches,
             "val_ped": val_ped,
         })
-        if log is not None:
-            log(history[-1])
         if val_ped < best_ped:
             best_ped, best_epoch, best_state = val_ped, epoch, model.state()
 

@@ -88,19 +88,21 @@ class TestEncoder:
                                    rtol=0, atol=1e-12)
 
     def test_pad_columns_get_zero_attention(self, toy):
+        # Padded source positions carry other tokens, positions and
+        # languages: the padded memory rows change, every other row keeps
+        # every bit.
         ds, vocab = toy
         model = T.Model(TINY, vocab, ds.languages)
-        encs = C.encode_dataset(ds, vocab)[:3]
-        batch = T.collate(encs)
-        assert batch.src_pad.any()
-        trace = {}
-        with E.no_grad():
-            model.encode_batch(batch, trace=trace)
-        attn = trace["enc0.attn"]  # (B, H, S, S)
+        batch = T.collate(C.encode_dataset(ds, vocab)[:3])
         pad = batch.src_pad
-        for b in range(attn.shape[0]):
-            assert np.all(attn[b][:, :, pad[b]] == 0.0)
-            np.testing.assert_allclose(attn[b].sum(axis=-1), 1.0, atol=1e-9)
+        assert pad.any()
+        other = replace(batch, src=np.where(pad, 5, batch.src), pos=np.where(pad, 1, batch.pos),
+                        lang=np.where(pad, 1, batch.lang))
+        with E.no_grad():
+            a = model.encode_batch(batch).data
+            b = model.encode_batch(other).data
+        np.testing.assert_array_equal(a[~pad], b[~pad])
+        assert np.all(np.any(a[pad] != b[pad], axis=-1))
 
     def test_daughter_order_is_meaningful(self, toy):
         ds, vocab = toy
@@ -147,12 +149,24 @@ class TestDecoder:
         enc = C.encode_dataset(ds, vocab)[0]
         batch = T.collate([enc])
         padded = T.Batch(batch.src, batch.pos, batch.lang, batch.src_pad,
-                         np.concatenate([batch.tgt, np.zeros((1, 3), np.int64)], axis=1),
-                         batch.set_ids)
+                         np.concatenate([batch.tgt, np.zeros((1, 3), np.int64)], axis=1))
         with E.no_grad():
             a = float(model.loss_batch(batch).data)
             b = float(model.loss_batch(padded).data)
         assert a == b
+
+    def test_pad_memory_rows_get_zero_attention(self, toy):
+        ds, vocab = toy
+        model = T.Model(TINY, vocab, ds.languages)
+        batch = T.collate(C.encode_dataset(ds, vocab)[:3])
+        assert batch.src_pad.any()
+        with E.no_grad():
+            memory = model.encode_batch(batch).data
+            other = memory.copy()
+            other[batch.src_pad] = philox(5).uniform(-3, 3, other[batch.src_pad].shape)
+            a = model.decode_batch(E.Tensor(memory), batch.tgt_in, batch.src_pad).data
+            b = model.decode_batch(E.Tensor(other), batch.tgt_in, batch.src_pad).data
+        np.testing.assert_array_equal(a, b)
 
     def test_logit_shapes_on_two_set_batch(self, toy):
         ds, vocab = toy
@@ -189,19 +203,26 @@ class TestGreedyDecode:
 
 
 class TestDecodeGolden:
-    # Words of a random-init TINY model on the toy fixture, max_len 8, as
-    # decoded by re-running the decoder over the whole prefix at every
-    # step (before greedy decoding used a key/value cache); "-" is the
-    # empty word.  Float64 and float32 decode the same words.  Scaling
-    # every parameter by 6 makes rows end at different steps: at step 0,
-    # at step 3 and at max_len.
+    # Words of random-init models on the toy fixture, max_len 8; "-" is the
+    # empty word.  Float64 and float32 decode the same words.  The TINY
+    # words were decoded by re-running the decoder over the whole prefix at
+    # every step (before greedy decoding used a key/value cache), the
+    # two-decoder-layer words by an earlier cached decoder; that case
+    # carries the cache through a second layer.  Scaling every parameter by
+    # 6 makes rows end at different steps.
     GOLDEN = {
-        1.0: "nuiupnnn nuiinnnn nuiinnnn nuiupnnn nuiinnnn nuiinnnn nuiupnnn nuiunnnn "
-             "nuiinnnn nuiunnnn nuiupnnn nuiinnnn nuiunnnn nuiunnnn nuiinnnn nuiinnnn "
-             "nuiupnnn nuiinnnn nuiunnnn nuiunnnn nuiinnnn nuiunnnn nuiupnnn nuiinnnn",
-        6.0: "pppppppp pppppppp - pppppppp pppppppp pppppppp pnpppppp pppppppp "
-             "pppppppp pppppppp pppppppp pnnnnnnn pppppppn pppppppp pppppppp pppppppp "
-             "pppppppp pppppppp pppppppp nnnnpnnn pnnnnnnn pppppppp npnnnnnn ppp",
+        "1.0": (TINY, 1.0,
+                "nuiupnnn nuiinnnn nuiinnnn nuiupnnn nuiinnnn nuiinnnn nuiupnnn nuiunnnn "
+                "nuiinnnn nuiunnnn nuiupnnn nuiinnnn nuiunnnn nuiunnnn nuiinnnn nuiinnnn "
+                "nuiupnnn nuiinnnn nuiunnnn nuiunnnn nuiinnnn nuiunnnn nuiupnnn nuiinnnn"),
+        "6.0": (TINY, 6.0,
+                "pppppppp pppppppp - pppppppp pppppppp pppppppp pnpppppp pppppppp "
+                "pppppppp pppppppp pppppppp pnnnnnnn pppppppn pppppppp pppppppp pppppppp "
+                "pppppppp pppppppp pppppppp nnnnpnnn pnnnnnnn pppppppp npnnnnnn ppp"),
+        "2-layers-6.0": (replace(TINY, n_decoder_layers=2, seed=0), 6.0,
+                         "pppppppp pppppppp - - - pppppppp ippppppp pp pppppppp - pppppppp it "
+                         "p pppppppp - pppppppp ippiiipp pp iiiiiiii tppppppp - piiiiiii - "
+                         "pppppppp"),
     }
     MAX_LEN = 8
 
@@ -212,25 +233,25 @@ class TestDecodeGolden:
         yield request.param
         E.set_default_dtype(prev)
 
-    @staticmethod
-    def scaled_model(ds, vocab, scale):
-        model = T.Model(TINY, vocab, ds.languages)
+    def scaled_model(self, ds, vocab, case):
+        cfg, scale, _ = self.GOLDEN[case]
+        model = T.Model(cfg, vocab, ds.languages)
         for p in model.params.values():
             p.data *= scale
         return model
 
-    @pytest.mark.parametrize("scale", sorted(GOLDEN))
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
     @pytest.mark.parametrize("chunk", [1, 3, 128])
-    def test_words_match_recorded(self, toy, dtype, scale, chunk):
+    def test_words_match_recorded(self, toy, dtype, case, chunk):
         ds, vocab = toy
-        model = self.scaled_model(ds, vocab, scale)
+        model = self.scaled_model(ds, vocab, case)
         words = T.greedy_decode(model, C.encode_dataset(ds, vocab), self.MAX_LEN, chunk=chunk)
-        assert " ".join("".join(w) or "-" for w in words) == self.GOLDEN[scale]
+        assert " ".join("".join(w) or "-" for w in words) == self.GOLDEN[case][2]
 
-    @pytest.mark.parametrize("scale", sorted(GOLDEN))
-    def test_words_are_the_teacher_forced_argmax(self, toy, dtype, scale):
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_words_are_the_teacher_forced_argmax(self, toy, dtype, case):
         ds, vocab = toy
-        model = self.scaled_model(ds, vocab, scale)
+        model = self.scaled_model(ds, vocab, case)
         enc = C.encode_dataset(ds, vocab)
         words = T.greedy_decode(model, enc, self.MAX_LEN)
         tgt = np.full((len(words), self.MAX_LEN + 1), C.PAD_ID, dtype=np.int64)

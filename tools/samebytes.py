@@ -29,12 +29,14 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# Two decoder layers, so that greedy decoding carries its key/value cache
+# from one layer to the next.
 TINY_INI = """\
 [transformer]
 d_model = 16
 n_heads = 2
 n_encoder_layers = 1
-n_decoder_layers = 1
+n_decoder_layers = 2
 d_feedforward = 32
 dropout_p = 0.1
 lr = 0.002
