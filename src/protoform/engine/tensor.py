@@ -2,9 +2,10 @@
 
 Each differentiable operation returns a new ``Tensor`` holding its inputs
 and a backward closure; the implicit DAG formed by these links is walked
-in reverse topological order by ``backward``.  Gradients accumulate
-additively across fan-out.  Everything is single-threaded and, for a
-fixed seed, bitwise deterministic.
+in reverse topological order by ``backward``, which releases each interior
+node as it goes, so after the pass only leaves hold ``.grad`` and a graph
+can be walked once.  Gradients accumulate additively across fan-out.
+Everything is single-threaded and, for a fixed seed, bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -131,17 +132,26 @@ def accumulate(t: Tensor, g: np.ndarray, own: bool = True) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse pass from a scalar loss; populates ``.grad`` on every
-    tensor that requires gradients."""
+    """Reverse pass from a scalar loss; adds into ``.grad`` of every leaf
+    that requires gradients.  Each interior node is released once its
+    closure has run (gradient, closure and parent links dropped), so the
+    step's activations are freed as the walk goes; a second ``backward``
+    through a released graph raises ``EngineError``."""
     if loss.data.size != 1:
         raise EngineError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise EngineError("loss does not require gradients")
     order = _toposort(loss)
+    if any(node._backward is None and node.op != "leaf" for node in order):
+        raise EngineError("graph already released by an earlier backward")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    while order:
+        node = order.pop()
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad = node._backward = None
+            node._parents = ()
 
 
 def zero_grads(tensors) -> None:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -88,6 +91,44 @@ class TestBackward:
         x = E.Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(E.EngineError, match="scalar"):
             E.backward(E.add(x, x))
+
+    def test_second_backward_raises(self):
+        x = E.Tensor([1.0, -2.0], requires_grad=True)
+        h = E.mul(x, x)
+        loss = E.sum_(h)
+        E.backward(loss)
+        # the same loss, and a new loss over a node the first walk released
+        for again in (loss, E.sum_(h)):
+            with pytest.raises(E.EngineError,
+                               match="graph already released by an earlier backward"):
+                E.backward(again)
+        np.testing.assert_array_equal(x.grad, [2.0, -4.0])
+
+    def test_graph_is_released_after_backward(self):
+        rng = E.philox(7)
+        x = E.Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=True)
+        w = E.Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
+        key = (1, 2, 3)
+        interior = []
+
+        def build():
+            h = E.relu(E.matmul(x, w))
+            d = E.dropout(h, 0.5, key=key)
+            interior.extend([weakref.ref(h.data), weakref.ref(d.data)])
+            return E.sum_(d)
+
+        loss = build()
+        gc.collect()
+        assert all(ref() is not None for ref in interior)
+        E.backward(loss)
+        gc.collect()
+        assert all(ref() is None for ref in interior)
+        assert loss.grad is None
+        # d loss / d(x @ w) is the dropout mask where x @ w > 0
+        mask = E.dropout(E.Tensor(np.ones((4, 3))), 0.5, key=key).data
+        g = mask * (x.data @ w.data > 0)
+        np.testing.assert_array_equal(x.grad, g @ w.data.T)
+        np.testing.assert_array_equal(w.grad, x.data.T @ g)
 
     def test_cross_entropy_ignored_positions_have_zero_grad(self):
         logits = E.Tensor(E.philox(5).normal(0, 1, (2, 3, 6)), requires_grad=True)

@@ -8,6 +8,7 @@ from protoform import corpus as C
 from protoform import transformer as T
 from protoform.corpus import ParseOptions, TokenizerOptions, build_vocab, parse_dataset
 from protoform.engine.rng import philox
+from protoform.engine.tensor import _toposort
 
 ORTH = ParseOptions(tokenizer=TokenizerOptions(mode="orthographic"))
 
@@ -367,6 +368,44 @@ class TestNumericsGolden:
         flat = np.concatenate([t.data.ravel() for t in trained.model.params.values()])
         np.testing.assert_allclose([flat.sum(), (flat * flat).sum()], [total, squares],
                                    rtol=1e-9, atol=0)
+
+
+def _backward_keeping_graph(loss):
+    """The reverse pass as it was before ``E.backward`` released the graph:
+    the same closures in the same order, every node keeping its gradient,
+    closure and parent links."""
+    order = _toposort(loss)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+class TestBackwardRelease:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_matches_the_loop_that_kept_the_graph(self, toy, dtype):
+        ds, vocab = toy
+        cfg = replace(TINY, dropout_p=0.3)
+        batch = T.collate(C.encode_dataset(ds, vocab)[:4])
+        prev = np.dtype(E.default_dtype()).name
+        E.set_default_dtype(dtype)
+        try:
+            runs = []
+            for walk in (E.backward, _backward_keeping_graph):
+                model = T.Model(cfg, vocab, ds.languages)
+                walk(model.loss_batch(batch, T._DropCtx(cfg.seed, 5, cfg.dropout_p)))
+                grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
+                E.adam_step(model.params, grads, E.AdamState(), cfg.lr)
+                runs.append((grads, model.params))
+        finally:
+            E.set_default_dtype(prev)
+        (grads, params), (kept_grads, kept_params) = runs
+        assert list(grads) == list(kept_grads) and grads
+        for name, g in kept_grads.items():
+            assert grads[name].dtype == np.dtype(dtype), name
+            np.testing.assert_array_equal(grads[name], g, err_msg=name)
+        for name, p in kept_params.items():
+            np.testing.assert_array_equal(params[name].data, p.data, err_msg=name)
 
 
 class TestLanguageEmbeddings:

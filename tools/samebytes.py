@@ -10,7 +10,8 @@ tree's ``src/``, each in a fresh directory:
   one-seed ``train``, ``evaluate`` with three baselines);
 - a float32 two-seed ``train`` with two worker processes;
 - ``probe --gold-tree`` on those two checkpoints;
-- ``baseline``.
+- ``baseline``;
+- ``gradcheck``, whose stdout prints every op's worst relative error.
 
 Every file written and every command's stdout are compared byte for byte.
 Exit status: 0 when all are identical; 1 on a difference, naming the first
@@ -67,6 +68,7 @@ STEPS = [
                    "--gold-tree", "gold.nwk", "--out", "probe"]),
     ("baseline", {}, ["baseline", "--dataset", "toy.tsv", "--kinds", "random,pattern,linear",
                       "--out", "base"]),
+    ("gradcheck", {}, ["gradcheck"]),
 ]
 
 
