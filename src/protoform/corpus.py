@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .engine.rng import DetRng, mix64
 
@@ -54,8 +54,11 @@ VOWEL_BASES = frozenset(
 )
 
 
+@lru_cache(maxsize=1 << 16)
 def token_class(token: Token) -> str:
-    """Coarse phone class: 'tone', 'vowel', or 'consonant'."""
+    """Coarse phone class: 'tone', 'vowel', or 'consonant'.  Memoised: the
+    baselines classify the same few hundred tokens hundreds of thousands
+    of times per evaluation."""
     if all(ch in TONE_CHARS for ch in token):
         return "tone"
     for ch in token:

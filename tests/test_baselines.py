@@ -1,14 +1,35 @@
+import functools
 import hashlib
 import itertools
+import unicodedata
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from protoform import baselines as B
+from protoform import corpus
 from protoform import synth as S
 from protoform.corpus import CognateSet, Dataset, LanguageId, parse_dataset, split_dataset
-from protoform.engine.rng import DetRng
+from protoform.engine.rng import DetRng, mix64
 from protoform.metrics import GAP
+
+
+def bundled_rules(name):
+    return S.parse_rules(resources.files("protoform.data").joinpath(name).read_text("utf-8"))
+
+
+@functools.cache
+def sinitic_splits():
+    """Train and test splits of a fixed Sinitic-style synthetic corpus."""
+    ds = parse_dataset(S.generate_tsv(bundled_rules("sinitic_style.rules"), 120, 4, seed=17))
+    train, _, test = split_dataset(ds, 0)
+    return train, test
+
+
+def synth5_corpus():
+    """A polysyllabic corpus over the five daughters of synth5.rules."""
+    return parse_dataset(S.generate_tsv(bundled_rules("synth5.rules"), 40, 5, seed=3))
 
 
 def sinitic_toy():
@@ -105,6 +126,44 @@ class TestMajorityConstituent:
         )
         with pytest.raises(B.UnsupportedOperation):
             B.majority_constituent(romance, romance.sets[0])
+
+
+class TestMajorityGate:
+    """``majority_constituent`` gates each training split once."""
+
+    @pytest.fixture
+    def gates(self, monkeypatch):
+        calls = []
+        real = B.supports_majority_constituent
+
+        def counting(ds):
+            calls.append(ds)
+            return real(ds)
+
+        monkeypatch.setattr(B, "supports_majority_constituent", counting)
+        monkeypatch.setattr(B, "_GATED", None)
+        return calls
+
+    def test_one_gate_per_split(self, gates):
+        train, test = sinitic_splits()
+        for k in range(40):
+            B.majority_constituent(train, test.sets[k % len(test.sets)])
+        assert len(gates) == 1
+        # an equal but distinct Dataset object is gated afresh; the record has one slot
+        copy = train.subset(range(len(train)))
+        B.majority_constituent(copy, test.sets[0])
+        B.majority_constituent(copy, test.sets[1])
+        assert gates == [train, copy]
+        B.majority_constituent(train, test.sets[0])
+        assert len(gates) == 3 and gates[2] is train
+
+    def test_failed_gate_is_not_remembered(self, gates):
+        ds = synth5_corpus()
+        for _ in range(2):
+            with pytest.raises(B.UnsupportedOperation):
+                B.majority_constituent(ds, ds.sets[0])
+        assert len(gates) == 2
+        assert B._GATED is None
 
 
 def sp_cost(columns):
@@ -301,11 +360,7 @@ class TestGolden:
 
     @pytest.fixture(scope="class")
     def splits(self):
-        rules = S.parse_rules(resources.files("protoform.data")
-                              .joinpath("sinitic_style.rules").read_text("utf-8"))
-        ds = parse_dataset(S.generate_tsv(rules, 120, 4, seed=17))
-        train, _, test = split_dataset(ds, 0)
-        return train, test
+        return sinitic_splits()
 
     def test_alignment_rows(self, splits):
         train, _ = splits
@@ -327,3 +382,90 @@ class TestGolden:
             assert _digest([B.reconstruct_with_classifier(clf, cs) for cs in test.sets]) == want
         assert _digest([B.majority_constituent(train, cs) for cs in test.sets]) == (
             "028303ae36b4babebc28cfd1c91b86d11ad0718276eafffd52ad1c2d31bf57f8")
+
+
+def reference_fit(clf, columns):
+    """``LinearClassifier.fit`` with the SGD loop written plainly: list
+    indices, ``.sum(axis=1)`` and ``np.ix_``."""
+    atoms_all = sorted({a for atoms, _ in columns for a in atoms})
+    clf.feature_index = {a: i for i, a in enumerate(atoms_all)}
+    clf.classes = sorted({label for _, label in columns})
+    class_index = {c: i for i, c in enumerate(clf.classes)}
+    data = [(clf._vectorize(atoms), class_index[label]) for atoms, label in columns]
+    n_cls, n_feat = len(clf.classes), len(atoms_all)
+    clf.W = np.zeros((n_cls, n_feat))
+    clf.b = np.zeros(n_cls)
+    rng = DetRng(mix64(0x11EA2, clf.seed))
+    y = np.full(n_cls, -1.0)
+    for epoch in range(clf.EPOCHS):
+        lr = clf.LR / (1 + epoch)
+        rng.shuffle(data)
+        for idx, ci in data:
+            y[:] = -1.0
+            y[ci] = 1.0
+            scores = clf.W[:, idx].sum(axis=1) + clf.b
+            viol = (y * scores) < 1.0
+            if viol.any():
+                step = lr * y * viol
+                clf.W[np.ix_(viol, idx)] += step[viol, None]
+                clf.b += step
+        clf.W *= 1.0 - lr * clf.L2 * len(data)
+
+
+class TestLinearFitLoop:
+    """The fitted weights are bit-equal to the plainly written loop's."""
+
+    @staticmethod
+    def twelve_daughters():
+        # ~15 features a column, and numpy sums 8 or more contiguous terms
+        # pairwise: on this corpus a fit that sums a sample's weights in
+        # another order ends with other bits
+        return parse_dataset(S.generate_tsv(bundled_rules("sinitic_style.rules"), 240, 12,
+                                            seed=0))
+
+    @pytest.mark.parametrize("corpus_name, seed", [("sinitic", 0), ("sinitic", 2),
+                                                   ("synth5", 0), ("twelve", 0)])
+    def test_weights_bit_equal(self, corpus_name, seed):
+        train = {"sinitic": lambda: sinitic_splits()[0], "synth5": synth5_corpus,
+                 "twelve": self.twelve_daughters}[corpus_name]()
+        cfg = B.ContextConfig()
+        columns = B.training_columns(B.align_cognates(train), cfg)
+        lang_index = {l.name: l.index for l in train.languages}
+        fast = B.LinearClassifier(cfg, lang_index, seed)
+        fast.fit(columns)
+        ref = B.LinearClassifier(cfg, lang_index, seed)
+        reference_fit(ref, columns)
+        assert fast.classes == ref.classes and fast.feature_index == ref.feature_index
+        assert np.array_equal(fast.W.view(np.uint64), ref.W.view(np.uint64))
+        assert np.array_equal(fast.b.view(np.uint64), ref.b.view(np.uint64))
+        assert np.count_nonzero(fast.W) > 0
+
+
+def bundled_tokens():
+    """Every token of the bundled feature table and of every bundled
+    rules file's inventory."""
+    data = resources.files("protoform.data")
+    rows = data.joinpath("features.csv").read_text("utf-8").splitlines()[1:]
+    tokens = {row.split(",")[0] for row in rows if row}
+    tokens |= {unicodedata.normalize("NFD", t) for t in tokens}
+    for f in data.iterdir():
+        if f.name.endswith(".rules"):
+            rules = S.parse_rules(f.read_text("utf-8"))
+            tokens.update(rules.inventory, rules.extra)
+    return sorted(tokens)
+
+
+class TestMemoised:
+    """The memoised pure functions answer as their unwrapped bodies do."""
+
+    def test_token_class(self):
+        tokens = bundled_tokens()
+        assert {corpus.token_class(t) for t in tokens} == {"tone", "vowel", "consonant"}
+        for t in tokens:
+            assert corpus.token_class(t) == corpus.token_class.__wrapped__(t), t
+
+    def test_class_cost(self):
+        tokens = bundled_tokens()
+        for a in tokens:
+            for b in tokens:
+                assert B._class_cost(a, b) == B._class_cost.__wrapped__(a, b), (a, b)

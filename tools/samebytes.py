@@ -11,6 +11,9 @@ tree's ``src/``, each in a fresh directory:
 - a float32 two-seed ``train`` with two worker processes;
 - ``probe --gold-tree`` on those two checkpoints;
 - ``baseline``;
+- ``synth`` of a monosyllabic corpus from ``sinitic_style.rules`` and
+  ``baseline`` on it with all four kinds, the only step that runs the
+  majority-constituent baseline;
 - ``gradcheck``, whose stdout prints every op's worst relative error.
 
 Every file written and every command's stdout are compared byte for byte.
@@ -50,11 +53,11 @@ batch_size = 8
 # A phylogeny over the five daughters of synth5.rules.
 GOLD_TREE = "((Alba,Bruna),(Cara,(Dola,Esta)));\n"
 
-RULES = os.path.join("src", "protoform", "data", "synth5.rules")
+DATA = os.path.join("src", "protoform", "data")
 
-# (step name, extra environment, arguments); "{rules}" is the tree's rules file.
+# (step name, extra environment, arguments); "{data}" is the tree's data directory.
 STEPS = [
-    ("synth", {}, ["synth", "--rules", "{rules}", "--n-sets", "40", "--seed", "3",
+    ("synth", {}, ["synth", "--rules", "{data}/synth5.rules", "--n-sets", "40", "--seed", "3",
                    "--out-file", "toy.tsv"]),
     ("train", {}, ["train", "--dataset", "toy.tsv", "--config", "tiny.ini",
                    "--seeds", "1@0", "--out", "run"]),
@@ -68,6 +71,10 @@ STEPS = [
                    "--gold-tree", "gold.nwk", "--out", "probe"]),
     ("baseline", {}, ["baseline", "--dataset", "toy.tsv", "--kinds", "random,pattern,linear",
                       "--out", "base"]),
+    ("synth-mono", {}, ["synth", "--rules", "{data}/sinitic_style.rules", "--n-sets", "40",
+                        "--seed", "3", "--out-file", "mono.tsv"]),
+    ("baseline-mono", {}, ["baseline", "--dataset", "mono.tsv",
+                           "--kinds", "random,majority,pattern,linear", "--out", "mono_base"]),
     ("gradcheck", {}, ["gradcheck"]),
 ]
 
@@ -90,7 +97,7 @@ def run_steps(tree: str, workdir: str) -> dict[str, bytes]:
     seen = {"tiny.ini", "gold.nwk"}
     stdout = {}
     for name, extra, args in STEPS:
-        argv = [a.replace("{rules}", os.path.join(tree, RULES)) for a in args]
+        argv = [a.replace("{data}", os.path.join(tree, DATA)) for a in args]
         proc = subprocess.run([sys.executable, "-m", "protoform.cli", *argv], cwd=workdir,
                               env=env | extra, capture_output=True)
         if proc.returncode != 0:
