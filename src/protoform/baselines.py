@@ -10,6 +10,7 @@ trained by SGD ("SVM-style"; deliberately not a kernel QP solver).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,7 @@ class SyllableParse:
         return (self.onset, self.nucleus, self.coda, tone)
 
 
-@functools.lru_cache(maxsize=1 << 16)
+@functools.cache
 def parse_syllable(word: Word) -> SyllableParse | None:
     """Onset + nucleus + coda + optional trailing tone; None if the word is
     not a single syllable (internal tones, several vowel runs, no vowel).
@@ -137,7 +138,7 @@ def majority_constituent(train: Dataset, cs: CognateSet) -> Word:
 # progressive multiple alignment
 
 
-@functools.lru_cache(maxsize=1 << 16)
+@functools.cache
 def _class_cost(a: str, b: str) -> float:
     if a == b:
         return 0.0
@@ -322,6 +323,10 @@ class LinearClassifier:
         return sorted(self.feature_index[a] for a in atoms if a in self.feature_index)
 
     def fit(self, columns):
+        if 1.0 - self.LR * self.L2 * len(columns) <= 0.0:
+            raise BaselineError(f"linear baseline: {len(columns)} aligned columns reach the bound "
+                                f"of {math.ceil(1.0 / (self.LR * self.L2))}, where the L2 decay "
+                                "1 - LR * L2 * columns stops being positive")
         atoms_all = sorted({a for atoms, _ in columns for a in atoms})
         self.feature_index = {a: i for i, a in enumerate(atoms_all)}
         self.classes = sorted({label for _, label in columns})
@@ -355,7 +360,7 @@ class LinearClassifier:
 
     def predict(self, atoms: frozenset) -> str:
         idx = self._vectorize(atoms)
-        scores = (self.W[:, idx].sum(axis=1) if idx else np.zeros(len(self.classes))) + self.b
+        scores = self.W[:, idx].sum(axis=1) + self.b
         return self.classes[int(np.argmax(scores))]
 
 

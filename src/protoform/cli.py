@@ -369,9 +369,6 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    if not args.consensus_threshold >= 0.5:
-        raise CliInputError(f"--consensus-threshold {args.consensus_threshold} must be at "
-                            "least 0.5 (lower can keep incompatible clades)")
     seeds = parse_seeds(args.seeds)
     gold = None
     if args.gold_tree:
@@ -383,7 +380,7 @@ def cmd_probe(args) -> int:
     matrices = [P.cosine_distance_matrix(T.extract_language_embeddings(tm.model))
                 for tm in trained]
     dendros = [P.ward_cluster(m) for m in matrices]
-    cons = P.consensus(dendros, threshold=args.consensus_threshold)
+    cons = P.consensus(dendros)
     lines = [f"runs: {len(dendros)}",
              f"consensus: {P.serialize_newick(cons)}"]
     if gold is not None:
@@ -479,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", required=True)
     p.add_argument("--seeds", default="10@0")
     p.add_argument("--gold-tree", default=None, help="Newick gold phylogeny")
-    p.add_argument("--consensus-threshold", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_probe)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 
 from .engine.rng import DetRng, mix64
 
@@ -54,7 +54,7 @@ VOWEL_BASES = frozenset(
 )
 
 
-@lru_cache(maxsize=1 << 16)
+@cache
 def token_class(token: Token) -> str:
     """Coarse phone class: 'tone', 'vowel', or 'consonant'.  Memoised: the
     baselines classify the same few hundred tokens hundreds of thousands
@@ -309,7 +309,6 @@ def split_dataset(ds: Dataset, seed: int):
 
 @dataclass(frozen=True)
 class EncodedExample:
-    set_id: str
     source: list       # source token ids, daughters concatenated in dataset order
     positions: list    # restart at 0 for each daughter
     languages: list    # daughter language index, constant within each span
@@ -331,7 +330,7 @@ def encode_cognate_set(cs: CognateSet, vocab: Vocabulary, ds: Dataset) -> Encode
     if not source:
         raise CorpusError(f"cognate set {cs.set_id!r} has no present daughters")
     target = [BOS_ID] + [vocab.tgt_id(t) for t in cs.proto] + [EOS_ID]
-    return EncodedExample(cs.set_id, source, positions, languages, target)
+    return EncodedExample(source, positions, languages, target)
 
 
 def encode_dataset(ds: Dataset, vocab: Vocabulary) -> list:

@@ -2,7 +2,7 @@
 gradient checker, and checkpoint I/O used by the reconstructor."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .gradcheck import EPSILON, TOLERANCE, grad_check, run_suite
+from .gradcheck import TOLERANCE, grad_check, run_suite
 from .ops import (
     OP_KINDS,
     add,
@@ -34,7 +34,7 @@ from .tensor import (
 )
 
 __all__ = [
-    "AdamState", "DetRng", "EngineError", "EPSILON", "OP_KINDS",
+    "AdamState", "DetRng", "EngineError", "OP_KINDS",
     "ShapeError", "Tensor", "TOLERANCE", "adam_step", "add", "backward",
     "cross_entropy", "default_dtype", "dropout", "embedding_lookup", "grad_check",
     "layer_norm", "load_checkpoint", "masked_fill", "matmul", "mix64",

@@ -1,4 +1,4 @@
-"""Finite-difference verification of every operator's backward pass."""
+"""Finite-difference verification of every operator's backward pass, in float64."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from .ops import _DISPATCH, OP_KINDS, mul, sum_
 from .rng import philox
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, no_grad
 
 EPSILON = 1e-5
 TOLERANCE = 1e-4
@@ -17,7 +17,7 @@ def _case(kind: str, seed: int):
     rng = philox(0xC0FFEE, seed)
 
     def t(*shape):
-        return Tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=True)
+        return Tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=True, dtype=np.float64)
 
     if kind == "matmul":
         return [t(3, 4), t(4, 2)], {}
@@ -70,8 +70,9 @@ def grad_check(kind: str, seed: int = 0) -> float:
     legitimately-zero gradients compare on absolute terms.
     """
     inputs, attrs = _case(kind, seed)
-    probe = _DISPATCH[kind](*[x.detach() for x in inputs], **attrs)
-    weight = Tensor(philox(4, seed).uniform(0.5, 1.5, probe.data.shape))
+    with no_grad():
+        shape = _DISPATCH[kind](*inputs, **attrs).data.shape
+    weight = Tensor(philox(4, seed).uniform(0.5, 1.5, shape), dtype=np.float64)
 
     loss = _scalar_loss(kind, inputs, attrs, weight)
     backward(loss)
@@ -79,19 +80,20 @@ def grad_check(kind: str, seed: int = 0) -> float:
                 for x in inputs]
 
     worst = 0.0
-    for x, a in zip(inputs, analytic):
-        flat = x.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + EPSILON
-            f_plus = float(_scalar_loss(kind, inputs, attrs, weight).data)
-            flat[i] = orig - EPSILON
-            f_minus = float(_scalar_loss(kind, inputs, attrs, weight).data)
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2 * EPSILON)
-            ai = a.reshape(-1)[i]
-            err = abs(ai - numeric) / max(abs(ai), abs(numeric), 1e-3)
-            worst = max(worst, err)
+    with no_grad():
+        for x, a in zip(inputs, analytic):
+            flat = x.data.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + EPSILON
+                f_plus = float(_scalar_loss(kind, inputs, attrs, weight).data)
+                flat[i] = orig - EPSILON
+                f_minus = float(_scalar_loss(kind, inputs, attrs, weight).data)
+                flat[i] = orig
+                numeric = (f_plus - f_minus) / (2 * EPSILON)
+                ai = a.reshape(-1)[i]
+                err = abs(ai - numeric) / max(abs(ai), abs(numeric), 1e-3)
+                worst = max(worst, err)
     return worst
 
 

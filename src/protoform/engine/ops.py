@@ -170,20 +170,23 @@ def dropout(a: Tensor, p: float, key: tuple) -> Tensor:
     ``key`` is a tuple of ints, conventionally (run seed, dropout-site id,
     step); the mask is a pure function of it, so replaying a step
     reproduces the mask exactly.  ``p == 0`` (eval mode) is the identity
-    and returns ``a`` itself.
+    and returns ``a`` itself.  The node keeps the boolean mask, not a float copy.
     """
     if p == 0.0:
         return a
     if not 0.0 <= p < 1.0:
         raise EngineError(f"dropout: p={p} outside [0, 1)")
-    draws = philox(*key).random(a.data.shape, dtype=np.float32)
-    mask = (draws >= p).astype(a.data.dtype)
-    mask *= 1.0 / (1.0 - p)
+    keep = philox(*key).random(a.data.shape, dtype=np.float32) >= p
+
+    def scaled_mask():
+        mask = keep.astype(a.data.dtype)
+        mask *= 1.0 / (1.0 - p)
+        return mask
 
     def bwd(g):
-        accumulate(a, g * mask)
+        accumulate(a, g * scaled_mask())
 
-    return make_node(a.data * mask, "dropout", (a,), bwd)
+    return make_node(a.data * scaled_mask(), "dropout", (a,), bwd)
 
 
 def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:

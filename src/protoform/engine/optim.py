@@ -24,9 +24,9 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float) -> None:
-    """One Adam update with bias correction, then decoupled weight decay.
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
+    """One Adam update from each parameter's ``.grad``, with bias
+    correction, then decoupled weight decay.
 
     Parameters without a gradient this step keep their moments but still
     decay.  Mutates ``params`` and ``state`` in place.
@@ -38,7 +38,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
-        g = grads.get(name)
+        g = p.grad
         if g is not None:
             if not np.all(np.isfinite(g)):
                 raise EngineError(

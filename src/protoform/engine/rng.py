@@ -49,10 +49,6 @@ class DetRng:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return (z ^ (z >> 31)) & _MASK64
 
-    def uniform(self) -> float:
-        """Float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
     def randint(self, n: int) -> int:
         """Unbiased integer in [0, n)."""
         if n <= 0:

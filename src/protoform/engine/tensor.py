@@ -72,9 +72,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
-
 
 def make_node(data: np.ndarray, op: str, parents, backward) -> Tensor:
     """Wrap an op result; tracks gradients iff any parent does."""

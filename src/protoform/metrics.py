@@ -87,10 +87,6 @@ class ErrorBreakdown:
     deletions: int
     substitution_pairs: tuple  # ((pred_token, gold_token), count) by falling count
 
-    @property
-    def total(self) -> int:
-        return self.substitutions + self.insertions + self.deletions
-
 
 def _tally(alignments) -> ErrorBreakdown:
     """Edit operations read off unit-cost (pred, gold) alignment columns."""

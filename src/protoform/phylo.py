@@ -135,14 +135,12 @@ def _clades(tree: TreeNode) -> set:
     return out
 
 
-def consensus(trees: list, threshold: float = 0.5) -> TreeNode:
+def consensus(trees: list) -> TreeNode:
     """Majority-rule consensus: keep exactly the clades occurring in more
-    than `threshold` of the input trees (threshold >= 0.5 so the kept
-    clades are pairwise compatible); heights are dropped."""
+    than half of the input trees (so the kept clades are pairwise
+    compatible); heights are dropped."""
     if not trees:
         raise PhyloError("consensus needs at least one tree")
-    if threshold < 0.5:
-        raise PhyloError("consensus threshold below 0.5 can produce incompatible clades")
     leaf_set = frozenset(trees[0].leaf_names())
     counts: dict = {}
     for t in trees:
@@ -150,7 +148,7 @@ def consensus(trees: list, threshold: float = 0.5) -> TreeNode:
             raise PhyloError("consensus input trees must share one leaf set")
         for clade in _clades(t):
             counts[clade] = counts.get(clade, 0) + 1
-    kept = [c for c, k in counts.items() if k / len(trees) > threshold]
+    kept = [c for c, k in counts.items() if 2 * k > len(trees)]
     kept.sort(key=lambda c: (-len(c), sorted(c)))
 
     root = TreeNode(children=[TreeNode(name=n) for n in sorted(leaf_set)])

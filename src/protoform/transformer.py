@@ -25,6 +25,7 @@ from .engine.optim import AdamState, adam_step
 from .metrics import edit_distance
 
 MAX_SOURCE_LEN = 1024
+DECODE_CHUNK = 128  # rows greedy-decoded at once
 
 
 @dataclass(frozen=True)
@@ -285,9 +286,10 @@ class Model:
 
         Teacher forcing passes no cache.  Greedy decoding passes the same
         list, empty at first, with the whole prefix at every step: each
-        call appends the new positions' self-attention keys and values to
+        call appends the new position's self-attention keys and values to
         every layer's entry, and only the first projects the cross-attention
-        keys and values of ``memory``.
+        keys and values of ``memory``.  A greedy prefix holds no PAD and its
+        newest position sees every cached one: no self-attention mask.
         """
         T = tgt_in.shape[1]
         cached = bool(cache)  # decided once: the loop below fills an empty cache
@@ -295,8 +297,10 @@ class Model:
         x = E.embedding_lookup(self.params["tgt_emb"], tgt_in[:, t:])
         x = E.add(x, E.Tensor(self.pe[t:T]))
         x = drop(x, 2)
-        causal = np.triu(np.ones((T, T), dtype=bool), k=1)[t:]
-        self_mask = causal[None, None] | (tgt_in == PAD_ID)[:, None, None, :]
+        self_mask = None
+        if cache is None:
+            causal = np.triu(np.ones((T, T), dtype=bool), k=1)
+            self_mask = causal[None, None] | (tgt_in == PAD_ID)[:, None, None, :]
         cross_mask = src_pad[:, None, None, :]
         for i in range(self.cfg.n_decoder_layers):
             k, v = self._project_kv(x, f"dec{i}.self")
@@ -324,7 +328,7 @@ class Model:
         return E.cross_entropy(logits, batch.tgt_out)
 
 
-def greedy_decode(model: Model, examples, max_len: int, chunk: int = 128):
+def greedy_decode(model: Model, examples, max_len: int):
     """Greedy autoregressive decoding; PAD/BOS/UNK are never emitted.
 
     Stops each row at EOS or after max_len tokens; an immediate EOS yields
@@ -332,8 +336,8 @@ def greedy_decode(model: Model, examples, max_len: int, chunk: int = 128):
     """
     words = []
     banned = [PAD_ID, BOS_ID, UNK_ID]
-    for start in range(0, len(examples), chunk):
-        group = examples[start:start + chunk]
+    for start in range(0, len(examples), DECODE_CHUNK):
+        group = examples[start:start + DECODE_CHUNK]
         batch = collate(group)
         B = len(group)
         with E.no_grad():
@@ -441,8 +445,7 @@ def train(model: Model, train_split: Dataset, val_split: Dataset,
             if not np.isfinite(loss.data):
                 raise E.EngineError(f"training diverged (loss={loss.data}) at epoch {epoch}")
             E.backward(loss)
-            grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
-            adam_step(model.params, grads, adam, lr)
+            adam_step(model.params, adam, lr)
             step += 1
             loss_sum += float(loss.data)
             loss_batches += 1

@@ -259,15 +259,34 @@ class TestProbe:
                         2, capsys)
         assert "nope.nwk" in err
 
-    @pytest.mark.parametrize("threshold", ["0.4", "nan"])
-    def test_consensus_threshold_below_half_exit_2_before_any_output(
-            self, workdir, tmp_path, capsys, threshold):
-        out = tmp_path / "probe_low"
-        assert run(["probe", "--checkpoints", workdir / "run", "--seeds", "2@0",
-                    "--consensus-threshold", threshold, "--out", out]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "0.5" in err[0]
-        assert not out.exists()
+    # Recorded when probe still took a consensus threshold, at its default
+    # 0.5: three random-init models on the toy corpus, whose dendrograms
+    # disagree, so the majority rule decides which clades are kept.
+    MAJORITY_SUMMARY = ("runs: 3\n"
+                        "consensus: ((Alba,Cara),(Bruna,Esta),Dola);\n"
+                        "gqd_consensus: 0.800000\n"
+                        "gqd_per_seed: 0.800000,0.800000,0.800000\n")
+
+    def test_majority_rule_summary_matches_recorded(self, workdir, tmp_path):
+        C, T = cli.C, cli.T
+        train, _, _ = C.split_dataset(C.parse_dataset(
+            (workdir / "toy.tsv").read_text(encoding="utf-8")), 0)
+        vocab = C.build_vocab(train)
+        ckpts = tmp_path / "random_init"
+        ckpts.mkdir()
+        cfg = T.TransformerConfig(d_model=8, n_heads=2, n_encoder_layers=1,
+                                  n_decoder_layers=1, d_feedforward=8)
+        for seed in range(3):
+            model = T.Model(cfg.with_seed(seed), vocab, train.languages)
+            T.TrainedModel(model, cfg.with_seed(seed), vocab, [], 0, 0.0, 20,
+                           train.proto_name).save(str(ckpts / f"seed{seed}"))
+        gold = tmp_path / "gold.nwk"
+        gold.write_text("((Alba,Bruna),(Cara,(Dola,Esta)));", encoding="utf-8")
+        out = tmp_path / "probe"
+        assert run(["probe", "--checkpoints", ckpts, "--seeds", "3@0",
+                    "--gold-tree", gold, "--out", out]) == 0
+        summary = (out / "summary.txt").read_text(encoding="utf-8")
+        assert summary == self.MAJORITY_SUMMARY
 
 
 class TestFailureWritesNothing:
@@ -282,6 +301,14 @@ class TestFailureWritesNothing:
         err = run_fails(["baseline", "--dataset", workdir / "toy.tsv",
                           "--kinds", "random,bogus", "--out", tmp_path / "out"], 2, capsys)
         assert "'bogus'" in err
+
+    def test_linear_decay_bound_exit_1(self, workdir, tmp_path, capsys, monkeypatch):
+        # with L2 = 1 the per-epoch decay 1 - 0.1 * columns is not positive
+        # from 10 aligned columns on
+        monkeypatch.setattr(cli.B.LinearClassifier, "L2", 1.0)
+        err = run_fails(["baseline", "--dataset", workdir / "toy.tsv",
+                          "--kinds", "random,linear", "--out", tmp_path / "out"], 1, capsys)
+        assert "aligned columns" in err and "bound of 10" in err
 
     def test_unsupported_majority_exit_1(self, workdir, tmp_path, capsys):
         # synth5 forms are polysyllabic, so the majority baseline refuses them
@@ -340,6 +367,19 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "matmul" in out and "cross_entropy" in out
         assert "FAIL" not in out
+
+    def test_float32_default_prints_the_float64_report(self, capsys, monkeypatch):
+        # the check builds its tensors in float64 whatever the engine default
+        prev = cli.E.default_dtype().__name__
+        out = {}
+        try:
+            for dtype in ("float64", "float32"):
+                monkeypatch.setenv(cli.DTYPE_ENV, dtype)
+                assert cli.main(["gradcheck"]) == 0
+                out[dtype] = capsys.readouterr().out
+        finally:
+            cli.E.set_default_dtype(prev)
+        assert out["float32"] == out["float64"]
 
     def test_corrupted_gradient_reported(self, capsys, monkeypatch):
         from protoform.engine import gradcheck

@@ -61,6 +61,30 @@ class TestForward:
         x = E.Tensor(np.arange(6.0))
         assert E.dropout(x, 0.0, key=(1, 2, 3)) is x
 
+    def test_dropout_node_keeps_no_float_mask(self):
+        # the closure holds the boolean keep-mask, not a float copy of it;
+        # forward and backward still scale by exactly the float mask
+        x = E.Tensor(E.philox(3).uniform(-1, 1, (6, 5)), requires_grad=True)
+        p, key = 0.3, (4, 5, 6)
+        out = E.dropout(x, p, key=key)
+
+        def closure_arrays(fn):
+            for cell in fn.__closure__ or ():
+                value = cell.cell_contents
+                if isinstance(value, np.ndarray):
+                    yield value
+                elif callable(value) and hasattr(value, "__closure__"):
+                    yield from closure_arrays(value)
+
+        held = list(closure_arrays(out._backward))
+        assert held and not any(np.issubdtype(a.dtype, np.floating) for a in held)
+        mask = (E.philox(*key).random((6, 5), dtype=np.float32) >= p).astype(np.float64)
+        mask *= 1.0 / (1.0 - p)
+        np.testing.assert_array_equal(out.data, x.data * mask)
+        g = E.philox(8).uniform(-1, 1, (6, 5))
+        out._backward(g)
+        np.testing.assert_array_equal(x.grad, g * mask)
+
     def test_dropout_mask_is_reproducible(self):
         x = E.Tensor(np.ones((4, 4)))
         a = E.dropout(x, 0.5, key=(9, 1, 0)).data
@@ -196,31 +220,44 @@ class TestGradCheckSuite:
                 assert abs(ai - num) / max(abs(ai), abs(num), 1e-3) < 1e-4
 
 
+def param(values, grad=None):
+    p = E.Tensor(values, requires_grad=True)
+    p.grad = None if grad is None else np.asarray(grad, dtype=p.data.dtype)
+    return p
+
+
 class TestAdam:
     def test_zero_grads_no_decay_leaves_params(self):
-        p = E.Tensor([1.0, -2.0], requires_grad=True)
+        p = param([1.0, -2.0], grad=np.zeros(2))
         st = E.AdamState()
-        E.adam_step({"p": p}, {"p": np.zeros(2)}, st, lr=0.1)
+        E.adam_step({"p": p}, st, lr=0.1)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_single_step_matches_hand_evaluation(self):
         # betas 0.9/0.999, eps 1e-8:
         # m=0.1, v=0.001, m_hat=1, v_hat=1 -> p = 1 - 0.1/(1+1e-8)
-        p = E.Tensor([1.0], requires_grad=True)
+        p = param([1.0], grad=[1.0])
         st = E.AdamState()
-        E.adam_step({"p": p}, {"p": np.array([1.0])}, st, lr=0.1)
+        E.adam_step({"p": p}, st, lr=0.1)
         np.testing.assert_allclose(p.data, [1.0 - 0.1 / (1.0 + 1e-8)], rtol=1e-12)
 
     def test_decoupled_decay_shrinks_without_grads(self):
-        p = E.Tensor([2.0], requires_grad=True)
+        p = param([2.0], grad=np.zeros(1))
         st = E.AdamState(weight_decay=0.01)
-        E.adam_step({"p": p}, {"p": np.zeros(1)}, st, lr=0.5)
+        E.adam_step({"p": p}, st, lr=0.5)
+        np.testing.assert_allclose(p.data, [2.0 * (1 - 0.5 * 0.01)], rtol=1e-12)
+
+    def test_parameter_without_grad_keeps_moments_and_decays(self):
+        p, q = param([2.0]), param([1.0], grad=[1.0])
+        st = E.AdamState(weight_decay=0.01)
+        E.adam_step({"p": p, "q": q}, st, lr=0.5)
+        assert list(st.m) == ["q"]
         np.testing.assert_allclose(p.data, [2.0 * (1 - 0.5 * 0.01)], rtol=1e-12)
 
     def test_nan_grad_aborts_with_diagnostics(self):
-        p = E.Tensor([1.0], requires_grad=True)
+        p = param([1.0], grad=[np.nan])
         with pytest.raises(E.EngineError, match="p"):
-            E.adam_step({"p": p}, {"p": np.array([np.nan])}, E.AdamState(), lr=0.1)
+            E.adam_step({"p": p}, E.AdamState(), lr=0.1)
 
 
 class TestSchedule:

@@ -197,7 +197,7 @@ class TestErrorBreakdown:
         golds = [("b",), ("b",), ("d",)]
         br = error_breakdown(preds, golds)
         assert br.substitution_pairs[0] == (("a", "b"), 2)
-        assert br.total == 3
+        assert (br.substitutions, br.insertions, br.deletions) == (3, 0, 0)
 
 
 class TestEvaluate:

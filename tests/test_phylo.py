@@ -19,6 +19,11 @@ def topologies_equal(a: P.TreeNode, b: P.TreeNode) -> bool:
     return canon(a) == canon(b)
 
 
+def uniform(rng: DetRng) -> float:
+    """Float in [0, 1) with 53 random bits of ``rng``."""
+    return (rng.next_u64() >> 11) * (1.0 / (1 << 53))
+
+
 def embeddings(*vectors):
     """Vectors keyed by LanguageId, as extract_language_embeddings returns them."""
     return {LanguageId(f"L{i}", i): v for i, v in enumerate(vectors)}
@@ -48,7 +53,7 @@ class TestCosine:
     def test_symmetry_zero_diagonal(self):
         rng = DetRng(4)
         m = P.cosine_distance_matrix(
-            embeddings(*([rng.uniform() - 0.5 for _ in range(8)] for _ in range(6))))
+            embeddings(*([uniform(rng) - 0.5 for _ in range(8)] for _ in range(6))))
         np.testing.assert_allclose(m.d, m.d.T)
         assert np.all(np.diag(m.d) == 0)
 
@@ -88,7 +93,7 @@ class TestWard:
             d = np.zeros((n, n))
             for i in range(n):
                 for j in range(i + 1, n):
-                    d[i, j] = d[j, i] = 0.1 + rng.uniform()
+                    d[i, j] = d[j, i] = 0.1 + uniform(rng)
             t = P.ward_cluster(P.DistanceMatrix([f"L{k}" for k in range(n)], d))
 
             def check(node):
@@ -104,7 +109,7 @@ class TestWard:
         d = np.zeros((n, n))
         for i in range(n):
             for j in range(i + 1, n):
-                d[i, j] = d[j, i] = 0.5 + rng.uniform()
+                d[i, j] = d[j, i] = 0.5 + uniform(rng)
         labels = [f"L{k}" for k in range(n)]
         t1 = P.ward_cluster(P.DistanceMatrix(labels, d))
         perm = [3, 0, 4, 1, 2]

@@ -108,8 +108,8 @@ class TestEncoder:
     def test_daughter_order_is_meaningful(self, toy):
         ds, vocab = toy
         model = T.Model(TINY, vocab, ds.languages)
-        a = C.EncodedExample("x", [5, 6, 7], [0, 1, 0], [0, 0, 1], [1, 5, 2])
-        b = C.EncodedExample("x", [7, 5, 6], [0, 0, 1], [1, 0, 0], [1, 5, 2])
+        a = C.EncodedExample([5, 6, 7], [0, 1, 0], [0, 0, 1], [1, 5, 2])
+        b = C.EncodedExample([7, 5, 6], [0, 0, 1], [1, 0, 0], [1, 5, 2])
         with E.no_grad():
             ma = model.encode_batch(T.collate([a])).data
             mb = model.encode_batch(T.collate([b])).data
@@ -119,7 +119,7 @@ class TestEncoder:
         ds, vocab = toy
         model = T.Model(TINY, vocab, ds.languages)
         n = T.MAX_SOURCE_LEN + 1
-        long = C.EncodedExample("x", [5] * n, [0] * n, [0] * n, [1, 2])
+        long = C.EncodedExample([5] * n, [0] * n, [0] * n, [1, 2])
         with pytest.raises(E.EngineError, match="maximum"):
             model.encode_batch(T.collate([long]))
 
@@ -139,7 +139,7 @@ class TestDecoder:
         base = logits(enc)
         for t in range(1, len(enc.target) - 1):
             perturbed = C.EncodedExample(
-                enc.set_id, enc.source, enc.positions, enc.languages,
+                enc.source, enc.positions, enc.languages,
                 enc.target[:t] + [(enc.target[t] + 1) % vocab.n_target or 4] + enc.target[t + 1:],
             )
             np.testing.assert_array_equal(base[:t], logits(perturbed)[:t])
@@ -202,6 +202,34 @@ class TestGreedyDecode:
         for w in T.greedy_decode(model, C.encode_dataset(ds, vocab)[:4], max_len=6):
             assert all(t not in C.SPECIALS for t in w)
 
+    def test_only_encoder_and_cross_attention_are_masked(self, toy, monkeypatch):
+        # a greedy prefix holds no PAD and attends to every cached position,
+        # so no decoder pass builds a self-attention mask
+        from protoform.engine import ops
+
+        ds, vocab = toy
+        cfg = replace(TINY, n_encoder_layers=2, n_decoder_layers=3)
+        model = T.Model(cfg, vocab, ds.languages)
+        built, passes = [], []
+        real_node, real_decode = ops.make_node, T.Model.decode_batch
+
+        def recording(data, op, parents, backward):
+            built.append(op)
+            return real_node(data, op, parents, backward)
+
+        def counted(self, *args, **kwargs):
+            passes.append(1)
+            return real_decode(self, *args, **kwargs)
+
+        monkeypatch.setattr(ops, "make_node", recording)
+        monkeypatch.setattr(T.Model, "decode_batch", counted)
+        monkeypatch.setattr(T, "DECODE_CHUNK", 10)
+        T.greedy_decode(model, C.encode_dataset(ds, vocab), max_len=6)
+        chunks = -(-len(ds.sets) // 10)
+        assert len(passes) > chunks
+        assert built.count("masked_fill") == (chunks * cfg.n_encoder_layers
+                                              + len(passes) * cfg.n_decoder_layers)
+
 
 class TestDecodeGolden:
     # Words of random-init models on the toy fixture, max_len 8; "-" is the
@@ -242,11 +270,12 @@ class TestDecodeGolden:
         return model
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
-    @pytest.mark.parametrize("chunk", [1, 3, 128])
-    def test_words_match_recorded(self, toy, dtype, case, chunk):
+    @pytest.mark.parametrize("chunk", [1, 3, T.DECODE_CHUNK])
+    def test_words_match_recorded(self, toy, dtype, case, chunk, monkeypatch):
         ds, vocab = toy
         model = self.scaled_model(ds, vocab, case)
-        words = T.greedy_decode(model, C.encode_dataset(ds, vocab), self.MAX_LEN, chunk=chunk)
+        monkeypatch.setattr(T, "DECODE_CHUNK", chunk)
+        words = T.greedy_decode(model, C.encode_dataset(ds, vocab), self.MAX_LEN)
         assert " ".join("".join(w) or "-" for w in words) == self.GOLDEN[case][2]
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -395,7 +424,7 @@ class TestBackwardRelease:
                 model = T.Model(cfg, vocab, ds.languages)
                 walk(model.loss_batch(batch, T._DropCtx(cfg.seed, 5, cfg.dropout_p)))
                 grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
-                E.adam_step(model.params, grads, E.AdamState(), cfg.lr)
+                E.adam_step(model.params, E.AdamState(), cfg.lr)
                 runs.append((grads, model.params))
         finally:
             E.set_default_dtype(prev)

@@ -8,7 +8,9 @@ tree's ``src/``, each in a fresh directory:
 
 - the determinism sequence of acceptance criterion C8 (``synth``, a
   one-seed ``train``, ``evaluate`` with three baselines);
-- a float32 two-seed ``train`` with two worker processes;
+- a float32 two-seed ``train`` with two worker processes, and the same
+  ``train`` serially;
+- an orthographic ``train`` and ``evaluate`` with three baselines;
 - ``probe --gold-tree`` on those two checkpoints;
 - ``baseline``;
 - ``synth`` of a monosyllabic corpus from ``sinitic_style.rules`` and
@@ -67,6 +69,14 @@ STEPS = [
     ("train-float32", {"PROTOFORM_DTYPE": "float32", "PROTOFORM_WORKERS": "2"},
      ["train", "--dataset", "toy.tsv", "--config", "tiny.ini", "--seeds", "2@0",
       "--out", "run32"]),
+    ("train-float32-serial", {"PROTOFORM_DTYPE": "float32"},
+     ["train", "--dataset", "toy.tsv", "--config", "tiny.ini", "--seeds", "2@0",
+      "--out", "run32serial"]),
+    ("train-orthographic", {}, ["train", "--dataset", "toy.tsv", "--config", "tiny.ini",
+                                "--orthographic", "--seeds", "1@0", "--out", "orth"]),
+    ("evaluate-orthographic", {}, ["evaluate", "--dataset", "toy.tsv", "--config", "tiny.ini",
+                                   "--orthographic", "--seeds", "1@0", "--checkpoints", "orth",
+                                   "--baselines", "random,pattern,linear", "--out", "orth"]),
     ("probe", {}, ["probe", "--checkpoints", "run32", "--seeds", "2@0",
                    "--gold-tree", "gold.nwk", "--out", "probe"]),
     ("baseline", {}, ["baseline", "--dataset", "toy.tsv", "--kinds", "random,pattern,linear",
