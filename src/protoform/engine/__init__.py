@@ -10,6 +10,7 @@ from .ops import (
     dropout,
     embedding_lookup,
     layer_norm,
+    linear,
     masked_fill,
     matmul,
     mul,
@@ -37,7 +38,7 @@ __all__ = [
     "AdamState", "DetRng", "EngineError", "OP_KINDS",
     "ShapeError", "Tensor", "TOLERANCE", "adam_step", "add", "backward",
     "cross_entropy", "default_dtype", "dropout", "embedding_lookup", "grad_check",
-    "layer_norm", "load_checkpoint", "masked_fill", "matmul", "mix64",
+    "layer_norm", "linear", "load_checkpoint", "masked_fill", "matmul", "mix64",
     "mul", "no_grad", "philox", "relu", "reshape", "run_suite", "save_checkpoint",
     "scale", "set_default_dtype", "softmax", "stable_hash", "sum_", "transpose",
     "zero_grads",

@@ -21,6 +21,8 @@ def _case(kind: str, seed: int):
 
     if kind == "matmul":
         return [t(3, 4), t(4, 2)], {}
+    if kind == "linear":
+        return [t(2, 3, 4), t(4, 5), t(5)], {}
     if kind == "add":
         return [t(3, 4), t(4)], {}
     if kind == "mul":
@@ -36,7 +38,7 @@ def _case(kind: str, seed: int):
     if kind == "softmax":
         return [t(3, 5)], {}
     if kind == "layer_norm":
-        return [t(2, 8)], {}
+        return [t(2, 8), t(8), t(8)], {}
     if kind == "relu":
         x = t(4, 4)
         # keep sample away from the kink so central differences are valid

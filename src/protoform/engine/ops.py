@@ -32,21 +32,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: shapes {a.data.shape} x {b.data.shape} do not conform")
 
-    if b.data.ndim == 2 and a.data.ndim >= 2:
-        # linear-layer case: collapse leading dims into one GEMM per side
-        k, n = b.data.shape
-
-        def bwd(g):
-            g2 = g.reshape(-1, n)
-            accumulate(a, np.matmul(g2, b.data.T).reshape(a.data.shape))
-            accumulate(b, np.matmul(a.data.reshape(-1, k).T, g2))
-    else:
-
-        def bwd(g):
-            accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-            accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+    def bwd(g):
+        accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     return make_node(out, "matmul", (a, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine layer ``x @ w + b`` with ``x`` (..., k) and ``w`` (k, n)."""
+    try:
+        k, n = w.data.shape
+        out = np.matmul(x.data, w.data) + b.data
+    except ValueError:
+        raise ShapeError(f"linear: {x.data.shape} x {w.data.shape} + {b.data.shape} do not conform")
+
+    def bwd(g):
+        # collapse the leading axes into one GEMM per side
+        g2 = g.reshape(-1, n)
+        accumulate(x, np.matmul(g2, w.data.T).reshape(x.data.shape))
+        accumulate(w, np.matmul(x.data.reshape(-1, k).T, g2))
+        accumulate(b, _unbroadcast(g, b.data.shape), own=g.shape != b.data.shape)
+
+    return make_node(out, "linear", (x, w, b), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -139,20 +147,23 @@ def softmax(a: Tensor) -> Tensor:
     return make_node(y, "softmax", (a,), bwd)
 
 
-def layer_norm(a: Tensor) -> Tensor:
-    """Normalization over the last axis only; any affine gain/bias is
-    applied by the caller."""
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalization over the last axis, then the affine ``xhat * gain + bias``."""
     mu = np.mean(a.data, axis=-1, keepdims=True)
     var = np.var(a.data, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (a.data - mu) * inv
+    out = xhat * gain.data + bias.data
 
     def bwd(g):
+        accumulate(bias, _unbroadcast(g, bias.data.shape), own=g.shape != bias.data.shape)
+        accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
+        g = g * gain.data
         gm = np.mean(g, axis=-1, keepdims=True)
         gx = np.mean(g * xhat, axis=-1, keepdims=True)
         accumulate(a, inv * (g - gm - xhat * gx))
 
-    return make_node(xhat, "layer_norm", (a,), bwd)
+    return make_node(out, "layer_norm", (a, gain, bias), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -250,6 +261,7 @@ def sum_(a: Tensor) -> Tensor:
 
 _DISPATCH = {
     "matmul": matmul,
+    "linear": linear,
     "add": add,
     "mul": mul,
     "scale": scale,

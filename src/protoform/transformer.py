@@ -209,17 +209,25 @@ class Model:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state(self, state: dict) -> None:
+        """Adopt ``state``, which must name exactly this model's parameters,
+        each with its shape."""
+        extra = sorted(set(state) - set(self.params))
+        if extra:
+            raise E.EngineError(f"unknown parameter(s) {', '.join(extra)}")
         for name, t in self.params.items():
-            t.data = np.asarray(state[name], dtype=t.data.dtype).reshape(t.data.shape)
+            data = np.asarray(state[name], dtype=t.data.dtype)
+            if data.shape != t.data.shape:
+                raise E.EngineError(
+                    f"parameter {name} has shape {data.shape}, the model's is {t.data.shape}")
+            t.data = data
 
     # -- layers -----------------------------------------------------------
 
     def _linear(self, x, w, b):
-        return E.add(E.matmul(x, self.params[w]), self.params[b])
+        return E.linear(x, self.params[w], self.params[b])
 
     def _ln(self, x, name):
-        return E.add(E.mul(E.layer_norm(x), self.params[f"{name}.g"]),
-                     self.params[f"{name}.b"])
+        return E.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
     def _project_kv(self, kv_in, prefix):
         """Per-head keys (B, H, dh, Tk) and values (B, H, Tk, dh)."""
@@ -402,13 +410,16 @@ class TrainedModel:
     def load(cls, prefix: str) -> "TrainedModel":
         with open(prefix + ".json", encoding="utf-8") as fh:
             sidecar = json.load(fh)
+        max_len = sidecar["max_decode_len"]
+        if type(max_len) is not int or max_len < 1:
+            raise E.EngineError(f"max_decode_len {max_len!r} is not an integer of at least 1")
         cfg = TransformerConfig(**sidecar["config"])
         vocab = Vocabulary(sidecar["source_tokens"], sidecar["target_tokens"])
         languages = [LanguageId(name, i) for i, name in enumerate(sidecar["languages"])]
         model = Model(cfg, vocab, languages)
         model.load_state(E.load_checkpoint(prefix + ".ckpt"))
         return cls(model, cfg, vocab, sidecar["history"], sidecar["best_epoch"],
-                   sidecar["best_val_ped"], sidecar["max_decode_len"],
+                   sidecar["best_val_ped"], max_len,
                    sidecar.get("proto_name", ""))
 
 

@@ -1,11 +1,14 @@
+import json
 import os
 import subprocess
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from protoform import cli
+from protoform import engine as E
 
 RULES = resources.files("protoform.data").joinpath("synth5.rules")
 
@@ -155,6 +158,31 @@ class TestTrainEvaluate:
                     "--out", workdir / "probe_corrupt"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("case", ["transposed", "extra"])
+    def test_mismatched_checkpoint_exit_2(self, workdir, tmp_path, capsys, case):
+        ckpts = self._copy_run(workdir, f"mismatched_{case}")
+        state = E.load_checkpoint(str(ckpts / "seed0.ckpt"))
+        if case == "transposed":
+            state["enc0.ff.w1"] = state["enc0.ff.w1"].T
+        else:
+            state["bogus"] = np.zeros(3)
+        E.save_checkpoint(str(ckpts / "seed0.ckpt"), state)
+        err = run_fails(["evaluate", "--dataset", workdir / "toy.tsv", "--config",
+                         workdir / "tiny.ini", "--seeds", "1@0", "--checkpoints", ckpts,
+                         "--out", tmp_path / "eval"], 2, capsys)
+        assert ("enc0.ff.w1" if case == "transposed" else "bogus") in err
+
+    @pytest.mark.parametrize("value", ["x", None, 0, True])
+    def test_bad_max_decode_len_exit_2(self, workdir, tmp_path, capsys, value):
+        ckpts = self._copy_run(workdir, f"max_decode_len_{value}")
+        sidecar = json.loads((ckpts / "seed0.json").read_text(encoding="utf-8"))
+        sidecar["max_decode_len"] = value
+        (ckpts / "seed0.json").write_text(json.dumps(sidecar), encoding="utf-8")
+        err = run_fails(["evaluate", "--dataset", workdir / "toy.tsv", "--config",
+                         workdir / "tiny.ini", "--seeds", "1@0", "--checkpoints", ckpts,
+                         "--out", tmp_path / "eval"], 2, capsys)
+        assert "max_decode_len" in err
 
 
 class TestBadConfig:

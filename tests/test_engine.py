@@ -1,11 +1,13 @@
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from protoform import engine as E
 from protoform import transformer as T
+from protoform.engine.tensor import accumulate, make_node
 
 
 def naive_matmul(a, b):
@@ -47,8 +49,13 @@ class TestForward:
         np.testing.assert_allclose(y.sum(axis=-1), np.ones(5), atol=1e-9)
 
     def test_layer_norm_constant_row_is_zero(self):
-        y = E.layer_norm(E.Tensor([1.0, 1.0, 1.0]))
+        y = E.layer_norm(E.Tensor([1.0, 1.0, 1.0]), E.Tensor(np.ones(3)), E.Tensor(np.zeros(3)))
         np.testing.assert_allclose(y.data, [0.0, 0.0, 0.0])
+
+    def test_linear_shape_mismatch_names_op(self):
+        with pytest.raises(E.ShapeError, match="linear"):
+            E.linear(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((4, 2))),
+                     E.Tensor(np.zeros(2)))
 
     def test_masked_fill_neg_inf_gets_zero_weight(self):
         x = E.Tensor([2.0, -1.0, 0.5, 0.0])
@@ -166,14 +173,15 @@ class TestBackward:
         rng = E.philox(11)
         x = E.Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         w = E.Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=True)
+        b, gain, bias = (E.Tensor(rng.uniform(-1, 1, 5), requires_grad=True) for _ in range(3))
 
         def loss_value():
-            h = E.relu(E.matmul(x, w))
-            y = E.softmax(E.layer_norm(h))
+            h = E.relu(E.linear(x, w, b))
+            y = E.softmax(E.layer_norm(h, gain, bias))
             return E.sum_(E.mul(y, y))
 
         E.backward(loss_value())
-        for t in (x, w):
+        for t in (x, w, b, gain, bias):
             analytic = t.grad.copy()
             flat = t.data.reshape(-1)
             for i in range(flat.size):
@@ -218,6 +226,95 @@ class TestGradCheckSuite:
                 num = (fp - fm) / 2e-5
                 ai = analytic.reshape(-1)[i]
                 assert abs(ai - num) / max(abs(ai), abs(num), 1e-3) < 1e-4
+
+
+# Test-local copies of the composed layers the model built before ``linear``
+# and the affine ``layer_norm``: add(matmul(x, w), b) with matmul's former
+# linear-layer branch, and add(mul(layer_norm(x), g), b).
+
+
+def old_matmul(a, b):
+    out = np.matmul(a.data, b.data)
+    k, n = b.data.shape
+
+    def bwd(g):
+        g2 = g.reshape(-1, n)
+        accumulate(a, np.matmul(g2, b.data.T).reshape(a.data.shape))
+        accumulate(b, np.matmul(a.data.reshape(-1, k).T, g2))
+
+    return make_node(out, "matmul", (a, b), bwd)
+
+
+def old_layer_norm(a):
+    mu = np.mean(a.data, axis=-1, keepdims=True)
+    var = np.var(a.data, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (a.data - mu) * inv
+
+    def bwd(g):
+        gm = np.mean(g, axis=-1, keepdims=True)
+        gx = np.mean(g * xhat, axis=-1, keepdims=True)
+        accumulate(a, inv * (g - gm - xhat * gx))
+
+    return make_node(xhat, "layer_norm", (a,), bwd)
+
+
+OLD_LAYERS = (lambda x, w, b: E.add(old_matmul(x, w), b),
+              lambda x, g, b: E.add(E.mul(old_layer_norm(x), g), b))
+FUSED_LAYERS = (E.linear, E.layer_norm)
+
+
+def bits(a):
+    return a.view(np.uint64 if a.dtype == np.float64 else np.uint32)
+
+
+class TestFusedLayersKeepBits:
+    """``linear`` and the affine ``layer_norm`` give the composed layers'
+    forward values and gradients bit for bit, in an encoder block shaped
+    like the model's: ``x`` feeds the q, k and v projections and the
+    residual, so four gradients land in it, as they do in self-attention."""
+
+    D, DFF = 128, 647   # the Sinitic preset's d_model and d_feedforward
+
+    def block(self, layers, p, weight):
+        linear, norm = layers
+        x = p["x"]
+        q = linear(x, p["wq"], p["bq"])
+        k = linear(x, p["wk"], p["bk"])
+        v = linear(x, p["wv"], p["bv"])
+        h = linear(E.add(E.mul(q, k), v), p["wo"], p["bo"])
+        y = norm(E.add(x, h), p["g1"], p["c1"])
+        f = linear(E.relu(linear(y, p["w1"], p["b1"])), p["w2"], p["b2"])
+        y = norm(E.add(y, f), p["g2"], p["c2"])
+        return y, E.sum_(E.mul(y, weight))
+
+    def run(self, layers, shape, dtype):
+        rng = E.philox(0xB175, *shape)
+        d, dff = self.D, self.DFF
+        shapes = {"x": shape + (d,), "w1": (d, dff), "b1": (dff,), "w2": (dff, d)}
+        for name in ("wq", "wk", "wv", "wo"):
+            shapes[name] = (d, d)
+        for name in ("bq", "bk", "bv", "bo", "b2", "g1", "c1", "g2", "c2"):
+            shapes[name] = (d,)
+        leaves = {name: E.Tensor(rng.uniform(-1, 1, s), requires_grad=True, dtype=dtype)
+                  for name, s in sorted(shapes.items())}
+        weight = E.Tensor(rng.uniform(0.5, 1.5, shape + (d,)), dtype=dtype)
+        y, loss = self.block(layers, leaves, weight)
+        E.backward(loss)
+        return y.data, loss.data, {name: t.grad for name, t in leaves.items()}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(1, 23), (8, 60)])
+    def test_forward_and_every_gradient_bit_equal(self, shape, dtype):
+        y_old, loss_old, grads_old = self.run(OLD_LAYERS, shape, dtype)
+        y_new, loss_new, grads_new = self.run(FUSED_LAYERS, shape, dtype)
+        assert y_new.dtype == dtype
+        np.testing.assert_array_equal(bits(y_new), bits(y_old))
+        np.testing.assert_array_equal(bits(loss_new), bits(loss_old))
+        assert sorted(grads_new) == sorted(grads_old)
+        for name, g in grads_old.items():
+            assert g is not None and grads_new[name].dtype == dtype, name
+            np.testing.assert_array_equal(bits(grads_new[name]), bits(g), err_msg=name)
 
 
 def param(values, grad=None):
@@ -313,17 +410,17 @@ class TestDeterminism:
 
 
 class TestOpSet:
-    def test_training_step_builds_every_op_kind_but_sum(self, monkeypatch):
-        # ``sum`` stays for the grad-check harness; any other kind the model
-        # never builds is dead code
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Op kind of every node one tiny-config training ``loss_batch`` builds."""
         from protoform import corpus as C
         from protoform.engine import ops
 
-        built = set()
+        built = Counter()
         real = ops.make_node
 
         def recording(data, op, parents, backward):
-            built.add(op)
+            built[op] += 1
             return real(data, op, parents, backward)
 
         monkeypatch.setattr(ops, "make_node", recording)
@@ -336,4 +433,16 @@ class TestOpSet:
         model = T.Model(cfg, vocab, ds.languages)
         batch = T.collate(C.encode_dataset(ds, vocab))
         model.loss_batch(batch, T._DropCtx(cfg.seed, 0, cfg.dropout_p))
-        assert built == set(E.OP_KINDS) - {"sum"}
+        return built
+
+    def test_training_step_builds_every_op_kind_but_the_harness_ops(self, built):
+        # ``sum`` and ``mul`` stay for the grad-check harness, which weights an
+        # op's output with ``mul`` and reduces it with ``sum``; any other kind
+        # the model never builds is dead code
+        assert set(built) == set(E.OP_KINDS) - {"sum", "mul"}
+
+    def test_node_count_of_one_training_step(self, built):
+        # one encoder and one decoder layer: 17 affine layers and 5 layer
+        # norms, one node each
+        assert sum(built.values()) == 87
+        assert (built["linear"], built["layer_norm"], built["add"]) == (17, 5, 8)
