@@ -333,10 +333,11 @@ def cmd_evaluate(args) -> int:
         )
     ft = _feature_table_for(options)
     golds = [cs.proto for cs in test_ds.sets]
+    examples = C.encode_dataset(test_ds, expected)
     per_seed = []
     empty_total = 0
     for tm in trained:
-        preds = T.greedy_decode(tm.model, C.encode_dataset(test_ds, tm.vocab), tm.max_decode_len)
+        preds = T.greedy_decode(tm.model, examples, tm.max_decode_len)
         empty_total += sum(not p for p in preds)
         per_seed.append(_metric_values(M.evaluate(preds, golds, ft)))
     rows = [("transformer", _aggregate(per_seed))]

@@ -49,6 +49,10 @@ STRESS_MARKS = frozenset("ˈˌ")   # primary/secondary stress
 LENGTH_MARKS = frozenset("ːˑ")   # long / half-long
 TIE_BARS = frozenset("͜͡")       # affricate/double-articulation ties
 
+# Unicode categories that attach to the preceding base segment: combining
+# marks (Mn, Mc, Me) and modifier letters and symbols (Lm, Sk).
+ATTACHED_CATEGORIES = frozenset(("Mn", "Mc", "Me", "Lm", "Sk"))
+
 VOWEL_BASES = frozenset(
     "iyɨʉɯuɪʏʊeøɘɵɤoəɚɛœɜɝɞʌɔæɐaɶɑɒ"
 )
@@ -125,59 +129,35 @@ def tokenize_form(raw: str, options: TokenizerOptions = TokenizerOptions()) -> W
 
     text = unicodedata.normalize("NFD", raw.strip())
     tokens: list[str] = []
-    current: list[str] = []
-    current_kind = None  # "seg" | "tone"
-    pending_tie = False
-
-    def flush():
-        nonlocal current, current_kind, pending_tie
-        if current:
-            tokens.append("".join(current))
-        current = []
-        current_kind = None
-        pending_tie = False
-
+    kind = None  # "seg" | "tone" while tokens[-1] may still grow, else None
+    tie = False  # tokens[-1] ends in a tie bar, so the next base joins it
     for ch in text:
+        if (options.stress == "strip" and ch in STRESS_MARKS
+                or options.strip_length and ch in LENGTH_MARKS):
+            continue
         if ch.isspace():
-            flush()
-            continue
-        if options.strip_length and ch in LENGTH_MARKS:
-            continue
-        if ch in TONE_CHARS:
-            if current_kind == "tone":
-                current.append(ch)
+            kind, tie = None, False
+        elif ch in TONE_CHARS:
+            if kind == "tone":
+                tokens[-1] += ch
             else:
-                flush()
-                current, current_kind = [ch], "tone"
-            continue
-        if ch in STRESS_MARKS:
-            if options.stress == "strip":
-                continue
-            flush()
+                tokens.append(ch)
+                kind, tie = "tone", False
+        elif ch in STRESS_MARKS:
             tokens.append(ch)
-            continue
-        cat = unicodedata.category(ch)
-        if cat in ("Mn", "Mc", "Me"):
-            if current_kind != "seg":
-                raise TokenizeError(f"combining mark {ch!r} (U+{ord(ch):04X}) with no base in {raw!r}")
-            current.append(ch)
-            if ch in TIE_BARS:
-                pending_tie = True
-            continue
-        if cat in ("Lm", "Sk"):
-            if current_kind != "seg":
-                raise TokenizeError(f"modifier {ch!r} (U+{ord(ch):04X}) with no base in {raw!r}")
-            current.append(ch)
-            continue
-        # a base character
-        if pending_tie and current_kind == "seg":
-            current.append(ch)
-            pending_tie = False
+            kind, tie = None, False
+        elif (cat := unicodedata.category(ch)) in ATTACHED_CATEGORIES:
+            if kind != "seg":
+                what = "combining mark" if cat[0] == "M" else "modifier"
+                raise TokenizeError(f"{what} {ch!r} (U+{ord(ch):04X}) with no base in {raw!r}")
+            tokens[-1] += ch
+            tie = tie or ch in TIE_BARS
+        elif tie:
+            tokens[-1] += ch
+            tie = False
         else:
-            flush()
-            current, current_kind = [ch], "seg"
-
-    flush()
+            tokens.append(ch)
+            kind = "seg"
     if not tokens:
         raise TokenizeError(f"empty form {raw!r}")
     return tuple(tokens)

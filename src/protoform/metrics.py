@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .corpus import TONE_CHARS, Word
+from .corpus import ATTACHED_CATEGORIES, TIE_BARS, Word, token_class
 
 
 class MetricsError(Exception):
@@ -174,16 +174,14 @@ class FeatureTable:
     def _resolve(self, token: str) -> np.ndarray:
         if token in self._base:
             return self._base[token]
-        if all(ch in TONE_CHARS for ch in token):
+        if token_class(token) == "tone":
             return np.zeros(self.F, dtype=np.int8)
         stem_chars, mod_chars = [], []
         for ch in token:
-            cat = unicodedata.category(ch)
-            if cat.startswith("M") or cat in ("Lm", "Sk"):
-                if ch not in ("͡", "͜"):  # tie bars carry no features
-                    mod_chars.append(ch)
-            else:
+            if unicodedata.category(ch) not in ATTACHED_CATEGORIES:
                 stem_chars.append(ch)
+            elif ch not in TIE_BARS:  # tie bars carry no features
+                mod_chars.append(ch)
         stem = "".join(stem_chars)
         if stem not in self._base:
             raise MetricsError(f"token {token!r} not covered by the feature table")

@@ -413,9 +413,13 @@ class TrainedModel:
         max_len = sidecar["max_decode_len"]
         if type(max_len) is not int or max_len < 1:
             raise E.EngineError(f"max_decode_len {max_len!r} is not an integer of at least 1")
+        names = sidecar["languages"]
+        if (type(names) is not list or not all(type(n) is str for n in names)
+                or len(set(names)) != len(names)):
+            raise E.EngineError(f"languages {names!r} is not a list of distinct strings")
         cfg = TransformerConfig(**sidecar["config"])
         vocab = Vocabulary(sidecar["source_tokens"], sidecar["target_tokens"])
-        languages = [LanguageId(name, i) for i, name in enumerate(sidecar["languages"])]
+        languages = [LanguageId(name, i) for i, name in enumerate(names)]
         model = Model(cfg, vocab, languages)
         model.load_state(E.load_checkpoint(prefix + ".ckpt"))
         return cls(model, cfg, vocab, sidecar["history"], sidecar["best_epoch"],

@@ -184,6 +184,24 @@ class TestTrainEvaluate:
                          "--out", tmp_path / "eval"], 2, capsys)
         assert "max_decode_len" in err
 
+    LANGUAGES = {"ints": [1, 2, 3, 4, 5], "repeated": ["A", "A", "B", "C", "D"],
+                 "string": "ABCDE"}
+
+    @pytest.mark.parametrize("command", ["evaluate", "probe"])
+    @pytest.mark.parametrize("case", sorted(LANGUAGES))
+    def test_bad_languages_exit_2(self, workdir, tmp_path, capsys, case, command):
+        ckpts = self._copy_run(workdir, f"languages_{case}_{command}")
+        sidecar = json.loads((ckpts / "seed0.json").read_text(encoding="utf-8"))
+        sidecar["languages"] = self.LANGUAGES[case]
+        (ckpts / "seed0.json").write_text(json.dumps(sidecar), encoding="utf-8")
+        if command == "evaluate":
+            args = ["evaluate", "--dataset", workdir / "toy.tsv", "--config",
+                    workdir / "tiny.ini", "--seeds", "1@0", "--checkpoints", ckpts]
+        else:
+            args = ["probe", "--checkpoints", ckpts, "--seeds", "1@0"]
+        err = run_fails(args + ["--out", tmp_path / command], 2, capsys)
+        assert "languages" in err
+
 
 class TestBadConfig:
     @pytest.mark.parametrize("line", [

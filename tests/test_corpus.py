@@ -1,3 +1,5 @@
+import itertools
+import random
 import unicodedata
 
 import pytest
@@ -61,6 +63,109 @@ class TestTokenizer:
     def test_orthographic_mode_is_per_character(self):
         opts = TokenizerOptions(mode="orthographic")
         assert tokenize_form("chȃine", opts) == ("c", "h", "ȃ", "i", "n", "e")
+
+
+def reference_tokenize_form(raw, options=TokenizerOptions()):
+    """The tokenizer as it was written with a separate ``current`` buffer
+    and a ``flush`` closure; ``tokenize_form`` must match it exactly."""
+    if options.mode == "orthographic":
+        text = unicodedata.normalize("NFC", raw.strip())
+        tokens = tuple(ch for ch in text if not ch.isspace())
+        if not tokens:
+            raise TokenizeError(f"empty form {raw!r}")
+        return tokens
+
+    text = unicodedata.normalize("NFD", raw.strip())
+    tokens = []
+    current = []
+    current_kind = None
+    pending_tie = False
+
+    def flush():
+        nonlocal current, current_kind, pending_tie
+        if current:
+            tokens.append("".join(current))
+        current = []
+        current_kind = None
+        pending_tie = False
+
+    for ch in text:
+        if ch.isspace():
+            flush()
+            continue
+        if options.strip_length and ch in corpus.LENGTH_MARKS:
+            continue
+        if ch in corpus.TONE_CHARS:
+            if current_kind == "tone":
+                current.append(ch)
+            else:
+                flush()
+                current, current_kind = [ch], "tone"
+            continue
+        if ch in corpus.STRESS_MARKS:
+            if options.stress == "strip":
+                continue
+            flush()
+            tokens.append(ch)
+            continue
+        cat = unicodedata.category(ch)
+        if cat in ("Mn", "Mc", "Me"):
+            if current_kind != "seg":
+                raise TokenizeError(f"combining mark {ch!r} (U+{ord(ch):04X}) with no base in {raw!r}")
+            current.append(ch)
+            if ch in corpus.TIE_BARS:
+                pending_tie = True
+            continue
+        if cat in ("Lm", "Sk"):
+            if current_kind != "seg":
+                raise TokenizeError(f"modifier {ch!r} (U+{ord(ch):04X}) with no base in {raw!r}")
+            current.append(ch)
+            continue
+        if pending_tie and current_kind == "seg":
+            current.append(ch)
+            pending_tie = False
+        else:
+            flush()
+            current, current_kind = [ch], "seg"
+
+    flush()
+    if not tokens:
+        raise TokenizeError(f"empty form {raw!r}")
+    return tuple(tokens)
+
+
+# Bases and vowels (weighted up so that most strings tokenize), combining
+# marks of all three categories, both tie bars, modifier letters and
+# symbols, tone letters, superscript digits, stress and length marks,
+# whitespace, and precomposed letters that NFD splits.
+ALPHABET = (
+    list("ptksnmlrfx") * 3 + list("aeiouəɛɔy") * 3
+    + list("\u0303\u0325\u032a\u032f\u0329\u0308") + ["\u0903", "\u20dd"]
+    + ["\u0361", "\u035c"] * 3
+    + list("ʰʲʷˀʼⁿ˞")
+    + list("˥˦˧˨˩") + list("¹²³⁵")
+    + list("ˈˌ") + list("ːˑ")
+    + [" ", "\t"]
+    + list("ãéüñǹ")
+)
+
+
+def _outcome(fn, raw, options):
+    try:
+        return fn(raw, options)
+    except TokenizeError as exc:
+        return ("error", str(exc))
+
+
+def test_tokenizer_matches_reference_on_random_strings():
+    rng = random.Random(20231)
+    strings = ["".join(rng.choices(ALPHABET, k=rng.randint(0, 10))) for _ in range(20_000)]
+    for mode, strip_length, stress in itertools.product(
+            ("phonetic", "orthographic"), (False, True), ("separate", "strip")):
+        options = TokenizerOptions(mode=mode, strip_length=strip_length, stress=stress)
+        for raw in strings:
+            assert _outcome(tokenize_form, raw, options) == \
+                _outcome(reference_tokenize_form, raw, options), (raw, options)
 
 
 class TestParse:

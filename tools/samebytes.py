@@ -16,6 +16,11 @@ tree's ``src/``, each in a fresh directory:
 - ``synth`` of a monosyllabic corpus from ``sinitic_style.rules`` and
   ``baseline`` on it with all four kinds, the only step that runs the
   majority-constituent baseline;
+- ``baseline`` on the hand-written IPA table ``IPA_TSV`` three times: with
+  the default tokenizer, with ``[corpus] stress = strip``, and with
+  ``stress = strip`` plus ``strip_length = true``, so that every branch of
+  the phonetic tokenizer but its errors and tone runs (which the
+  monosyllabic corpus has) reaches a compared file;
 - ``gradcheck``, whose stdout prints every op's worst relative error.
 
 Every file written and every command's stdout are compared byte for byte.
@@ -55,6 +60,44 @@ batch_size = 8
 # A phylogeny over the five daughters of synth5.rules.
 GOLD_TREE = "((Alba,Bruna),(Cara,(Dola,Esta)));\n"
 
+# Hand-written IPA forms for the phonetic tokenizer: combining marks, both
+# tie bars, modifier letters, length and stress marks, precomposed
+# letters, a two-word form and a missing cell.  Every token, under each of
+# the three tokenizer settings below, is covered by features.csv.
+IPA_TSV = (
+    "set_id\tIta\tSpa\tFra\tLat\n"
+    "s01\tˈkaːne\tˈkan\tʃjɛ̃\tˈkanem\n"
+    "s02\tˈt͡ʃɛnto\tˈθjen\ts\u00e3\tˈkentum\n"
+    "s03\tˈnɔtte\tˈnot͡ʃe\tnɥi\tˈnoktem\n"
+    "s04\tˈlatte\tˈlet͡ʃe\tlɛ\tˈlakte\n"
+    "s05\tˈfɔʎʎa\tˈoxa\tfœj\tˈfoli̯a\n"
+    "s06\tˈd͡ʒɛnte\tˈxente\tʒɑ̃\tˈgentem\n"
+    "s07\tˈpaːne\tˈpan\tpɛ̃\tˈpaːnem\n"
+    "s08\tˈt̪ɛrra\tˈt̪jera\ttɛʁ\tˈterra\n"
+    "s09\tˈkʷattro\tˈkʷatro\tkatʁ̥\tˈkʷattu̯or\n"
+    "s10\tˈkɔːza\tˈkosa\tʃoːz\tˈkau̯sam\n"
+    "s11\tˈoːro\tˈoro\tɔʁ\tˈau̯rum\n"
+    "s12\tˈpjede\tˈpje\tpʲe\tˈpedem\n"
+    "s13\tˌkʷattorˈdit͡ʃi\tˈkatorθe\tkatɔʁz\tˌkʷattu̯orˈdekim\n"
+    "s14\tˈmaːno\tˈmano\tmɛ̃\tˈmanum\n"
+    "s15\tˈfratello\t\tfʁɛʁ\tˈfraːter\n"
+    "s16\tˈdɔnna\tˈdu̯eɲa\tdam\tˈdomina\n"
+    "s17\tˈkwi ˈsta\tˈest̪a\tsɛt\tˈiˑsta\n"
+    "s18\tˈt͡sukkero\tˈaθukar\tsykʁ\tˈsakkʰarum\n"
+    "s19\tˈs\u00f5ːno\tˈsu̯eɲo\tsɔ̃\tˈsomnum\n"
+    "s20\tˈl̩ana\tˈlana\tlɛn\tˈlaːnam\n"
+    "s21\tˈmɛd͜zo\tˈmeðjo\tmi\tˈmedi̯um\n"
+)
+
+# The files each tree's working directory starts with.
+INPUTS = {
+    "tiny.ini": TINY_INI,
+    "gold.nwk": GOLD_TREE,
+    "ipa.tsv": IPA_TSV,
+    "strip.ini": "[corpus]\nstress = strip\n",
+    "strip_length.ini": "[corpus]\nstress = strip\nstrip_length = true\n",
+}
+
 DATA = os.path.join("src", "protoform", "data")
 
 # (step name, extra environment, arguments); "{data}" is the tree's data directory.
@@ -85,6 +128,11 @@ STEPS = [
                         "--seed", "3", "--out-file", "mono.tsv"]),
     ("baseline-mono", {}, ["baseline", "--dataset", "mono.tsv",
                            "--kinds", "random,majority,pattern,linear", "--out", "mono_base"]),
+    ("baseline-ipa", {}, ["baseline", "--dataset", "ipa.tsv", "--out", "ipa_base"]),
+    ("baseline-ipa-strip", {}, ["baseline", "--dataset", "ipa.tsv", "--config", "strip.ini",
+                                "--out", "ipa_strip"]),
+    ("baseline-ipa-strip-length", {}, ["baseline", "--dataset", "ipa.tsv",
+                                       "--config", "strip_length.ini", "--out", "ipa_strip_length"]),
     ("gradcheck", {}, ["gradcheck"]),
 ]
 
@@ -97,14 +145,13 @@ def run_steps(tree: str, workdir: str) -> dict[str, bytes]:
     """Runs ``STEPS`` under ``tree`` in ``workdir``; returns every stdout and
     every file written, keyed in the order they first appeared."""
     os.makedirs(workdir)
-    with open(os.path.join(workdir, "tiny.ini"), "w", encoding="utf-8") as fh:
-        fh.write(TINY_INI)
-    with open(os.path.join(workdir, "gold.nwk"), "w", encoding="utf-8") as fh:
-        fh.write(GOLD_TREE)
+    for name, text in INPUTS.items():
+        with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
     env = {k: v for k, v in os.environ.items() if not k.startswith("PROTOFORM_")}
     env["PYTHONPATH"] = os.path.join(tree, "src")
     order = []
-    seen = {"tiny.ini", "gold.nwk"}
+    seen = set(INPUTS)
     stdout = {}
     for name, extra, args in STEPS:
         argv = [a.replace("{data}", os.path.join(tree, DATA)) for a in args]
