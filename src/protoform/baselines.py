@@ -309,6 +309,7 @@ class LinearClassifier:
     EPOCHS = 50
     LR = 0.1
     L2 = 1e-4
+    WINDOW = 128   # samples scored per numpy call in the search for a margin violation
 
     def __init__(self, cfg: ContextConfig, lang_index: dict, seed: int = 0):
         self.cfg = cfg
@@ -337,16 +338,35 @@ class LinearClassifier:
         # Weights by feature, so that a sample's weights are one row gather.
         # Summing those rows over axis 0 adds the same terms in the same
         # order as W[:, idx].sum(axis=1), whose gather comes out column-major.
-        WT = np.zeros((n_feat, n_cls))
+        # Row n_feat stays zero: it pads every sample to the same width.
+        WT = np.zeros((n_feat + 1, n_cls))
         b = np.zeros(n_cls)
+        width = max((len(idx) for idx, _ in data), default=0)
+        padded = np.full((len(data), width), n_feat, dtype=np.intp)
+        for row, (idx, _) in zip(padded, data):
+            row[:len(idx)] = idx
+        order = list(range(len(data)))
         rng = DetRng(mix64(0x11EA2, self.seed))
         Y = np.full((n_cls, n_cls), -1.0)   # row c: the one-vs-rest targets of class c
         np.fill_diagonal(Y, 1.0)
+        targets = Y[[ci for _, ci in data]]
+        # Windows of samples are scored at once to find the next sample that
+        # may violate a margin; that sample's own test below decides.  With
+        # one class numpy sums a window's contiguous axis pairwise, so the
+        # zero pads can reorder a sample's additions.  `slack` exceeds twice
+        # the rounding error of any order of at most `width` terms no larger
+        # than w_max, plus b, so every violating sample is nominated.
+        rounding = 4 * np.finfo(float).eps * width
+        w_max = 0.0   # a bound on |WT|: updates raise it, the decay cannot
+        slack = rounding
         for epoch in range(self.EPOCHS):
             lr = self.LR / (1 + epoch)
             lrY = lr * Y
-            rng.shuffle(data)
-            for idx, ci in data:
+            rng.shuffle(order)
+            ids, Ys = padded[order], targets[order]
+            pos = self._next_near(WT, b, ids, Ys, 0, slack)
+            while pos < len(order):
+                idx, ci = data[order[pos]]
                 Wi = WT.take(idx, 0)
                 scores = np.add.reduce(Wi, 0) + b
                 viol = Y[ci] * scores < 1.0
@@ -355,8 +375,24 @@ class LinearClassifier:
                     np.add(Wi, step, out=Wi, where=viol)   # violated classes only
                     WT[idx] = Wi
                     b += step
+                    w_max = max(w_max, float(np.abs(Wi).max(initial=0.0)))
+                    slack = rounding * (width * w_max + float(np.abs(b).max()) + 1.0)
+                pos = self._next_near(WT, b, ids, Ys, pos + 1, slack)
             WT *= 1.0 - lr * self.L2 * len(data)
-        self.W, self.b = np.ascontiguousarray(WT.T), b
+        self.W, self.b = np.ascontiguousarray(WT[:n_feat].T), b
+
+    def _next_near(self, WT, b, ids, Ys, start: int, slack: float) -> int:
+        """The first position from `start` on whose sample scores within
+        `slack` of violating a margin, one window of samples per numpy
+        call; ``len(ids)`` when there is none."""
+        while start < len(ids):
+            end = start + self.WINDOW
+            scores = np.add.reduce(WT.take(ids[start:end], 0), 1) + b
+            near = (Ys[start:end] * scores < 1.0 + slack).any(1)
+            if near.any():
+                return start + int(near.argmax())
+            start = end
+        return start
 
     def predict(self, atoms: frozenset) -> str:
         idx = self._vectorize(atoms)

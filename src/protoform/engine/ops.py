@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import tensor
 from .rng import philox
 from .tensor import EngineError, ShapeError, Tensor, accumulate, make_node
 
@@ -40,10 +41,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine layer ``x @ w + b`` with ``x`` (..., k) and ``w`` (k, n)."""
+    """Affine layer ``x @ w + b`` with ``x`` (..., k) and ``w`` (k, n).
+
+    With grad mode off the leading axes collapse into one 2-D GEMM, where
+    numpy runs a 3-D ``x`` as one product per leading index.  The two can
+    differ in the last bit, so training, with grad mode on, keeps the
+    batched product and its bytes.
+    """
     try:
         k, n = w.data.shape
-        out = np.matmul(x.data, w.data) + b.data
+        if tensor._GRAD_ENABLED:
+            xw = np.matmul(x.data, w.data)
+        else:
+            xw = np.matmul(x.data.reshape(-1, k), w.data).reshape(*x.data.shape[:-1], n)
+        out = xw + b.data
     except ValueError:
         raise ShapeError(f"linear: {x.data.shape} x {w.data.shape} + {b.data.shape} do not conform")
 
@@ -136,9 +147,9 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    shifted = a.data - np.max(a.data, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=-1, keepdims=True)
+    y = a.data - np.max(a.data, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(-1, keepdims=True)
 
     def bwd(g):
         dot = np.sum(g * y, axis=-1, keepdims=True)

@@ -11,7 +11,7 @@ from protoform import baselines as B
 from protoform import corpus
 from protoform import synth as S
 from protoform.corpus import CognateSet, Dataset, LanguageId, parse_dataset, split_dataset
-from protoform.engine.rng import DetRng, mix64
+from protoform.engine.rng import DetRng, mix64, philox
 from protoform.metrics import GAP
 
 
@@ -384,9 +384,11 @@ class TestGolden:
             "028303ae36b4babebc28cfd1c91b86d11ad0718276eafffd52ad1c2d31bf57f8")
 
 
-def reference_fit(clf, columns):
+def reference_fit(clf, columns, violations=None):
     """``LinearClassifier.fit`` with the SGD loop written plainly: list
-    indices, ``.sum(axis=1)`` and ``np.ix_``."""
+    indices, ``.sum(axis=1)`` and ``np.ix_``, one sample at a time.  Appends
+    ``(epoch, position in the shuffled order)`` of every sample that
+    violates a margin to ``violations`` when given."""
     atoms_all = sorted({a for atoms, _ in columns for a in atoms})
     clf.feature_index = {a: i for i, a in enumerate(atoms_all)}
     clf.classes = sorted({label for _, label in columns})
@@ -400,16 +402,46 @@ def reference_fit(clf, columns):
     for epoch in range(clf.EPOCHS):
         lr = clf.LR / (1 + epoch)
         rng.shuffle(data)
-        for idx, ci in data:
+        for pos, (idx, ci) in enumerate(data):
             y[:] = -1.0
             y[ci] = 1.0
             scores = clf.W[:, idx].sum(axis=1) + clf.b
             viol = (y * scores) < 1.0
             if viol.any():
+                if violations is not None:
+                    violations.append((epoch, pos))
                 step = lr * y * viol
                 clf.W[np.ix_(viol, idx)] += step[viol, None]
                 clf.b += step
         clf.W *= 1.0 - lr * clf.L2 * len(data)
+
+
+def random_columns(seed, labels, n=64, pool=32):
+    """``n`` columns of 1 to 24 atoms drawn from ``pool``, labelled at random
+    from ``labels``: widths vary, so the fit pads most samples."""
+    rng = philox(0x5EED, seed)
+    return [(frozenset(("f", int(a)) for a in rng.choice(pool, size=int(rng.integers(1, 25)),
+                                                         replace=False)),
+             labels[int(rng.integers(len(labels)))]) for _ in range(n)]
+
+
+def assert_fit_bit_equal(columns, seed=0, cfg=None, lang_index=None):
+    fast = B.LinearClassifier(cfg, lang_index or {}, seed)
+    fast.fit(columns)
+    ref = B.LinearClassifier(cfg, lang_index or {}, seed)
+    violations = []
+    reference_fit(ref, columns, violations)
+    assert fast.classes == ref.classes and fast.feature_index == ref.feature_index
+    assert np.array_equal(fast.W.view(np.uint64), ref.W.view(np.uint64))
+    assert np.array_equal(fast.b.view(np.uint64), ref.b.view(np.uint64))
+    return fast, violations
+
+
+class NoSlack(B.LinearClassifier):
+    """A window that nominates only the samples its own sums find violating."""
+
+    def _next_near(self, WT, b, ids, Ys, start, slack):
+        return super()._next_near(WT, b, ids, Ys, start, 0.0)
 
 
 class TestLinearFitLoop:
@@ -430,15 +462,72 @@ class TestLinearFitLoop:
                  "twelve": self.twelve_daughters}[corpus_name]()
         cfg = B.ContextConfig()
         columns = B.training_columns(B.align_cognates(train), cfg)
-        lang_index = {l.name: l.index for l in train.languages}
-        fast = B.LinearClassifier(cfg, lang_index, seed)
-        fast.fit(columns)
-        ref = B.LinearClassifier(cfg, lang_index, seed)
-        reference_fit(ref, columns)
-        assert fast.classes == ref.classes and fast.feature_index == ref.feature_index
-        assert np.array_equal(fast.W.view(np.uint64), ref.W.view(np.uint64))
-        assert np.array_equal(fast.b.view(np.uint64), ref.b.view(np.uint64))
+        fast, _ = assert_fit_bit_equal(columns, seed, cfg,
+                                       {l.name: l.index for l in train.languages})
         assert np.count_nonzero(fast.W) > 0
+
+    @pytest.mark.parametrize("labels", ["one", "two"])
+    @pytest.mark.parametrize("corpus_name", ["sinitic", "twelve"])
+    def test_one_and_two_classes_bit_equal(self, corpus_name, labels):
+        # one class: every column is "x"; two: a vowel against any other symbol
+        train = {"sinitic": lambda: sinitic_splits()[0], "twelve": self.twelve_daughters}[
+            corpus_name]()
+        cfg = B.ContextConfig()
+        columns = [(atoms, "x" if labels == "one" or corpus.token_class(label) == "vowel"
+                    else "y") for atoms, label in B.training_columns(B.align_cognates(train), cfg)]
+        fast, _ = assert_fit_bit_equal(columns, 1, cfg, {l.name: l.index for l in train.languages})
+        assert len(fast.classes) == {"one": 1, "two": 2}[labels]
+
+    @pytest.mark.parametrize("seed, labels", [(150, "x"), (150, "xy"), (3, "xy")])
+    def test_padded_random_columns_bit_equal(self, seed, labels):
+        assert_fit_bit_equal(random_columns(seed, labels))
+
+    def test_one_class_window_needs_its_slack(self):
+        # With one class numpy sums a window's padded row pairwise, in
+        # another order than the sample's own sum.  On this set a window
+        # that compares its own sums with no slack passes over a sample
+        # that violates, and the fit ends with other bits.
+        columns = random_columns(150, "x")
+        ref = B.LinearClassifier(None, {}, 0)
+        reference_fit(ref, columns)
+        no_slack = NoSlack(None, {}, 0)
+        no_slack.fit(columns)
+        assert not np.array_equal(no_slack.W.view(np.uint64), ref.W.view(np.uint64))
+
+    @pytest.mark.parametrize("window", [4, 128])
+    def test_violations_at_window_edges(self, window, monkeypatch):
+        # Every violating sample is nominated, and the set covers a
+        # violation at a window's first sample, one at its last and two in
+        # one window, the second found after the scan resumes.
+        train = sinitic_splits()[0]
+        cfg = B.ContextConfig()
+        columns = B.training_columns(B.align_cognates(train), cfg)
+        calls = []
+        next_near = B.LinearClassifier._next_near
+
+        def spy(self, WT, b, ids, Ys, start, slack):
+            pos = next_near(self, WT, b, ids, Ys, start, slack)
+            calls.append((start, pos))
+            return pos
+
+        monkeypatch.setattr(B.LinearClassifier, "WINDOW", window)
+        monkeypatch.setattr(B.LinearClassifier, "_next_near", spy)
+        _, violations = assert_fit_bit_equal(columns, 0, cfg,
+                                             {l.name: l.index for l in train.languages})
+        epoch, nominated = -1, []   # (epoch, position, start of its window)
+        for start, pos in calls:
+            epoch += start == 0
+            if pos < len(columns):
+                nominated.append((epoch, pos, start + (pos - start) // window * window))
+        violating = set(violations)
+        assert violating <= {(e, pos) for e, pos, _ in nominated}
+        found = [(e, pos, pos - first) for e, pos, first in nominated if (e, pos) in violating]
+        assert any(offset == 0 for _, _, offset in found)
+        if window == 4:
+            assert any(offset == window - 1 for _, _, offset in found)
+        pairs = zip(nominated, nominated[1:])
+        assert any((e1, p1) in violating and (e2, p2) in violating and e1 == e2
+                   and p2 < first + window for (e1, p1, first), (e2, p2, _) in pairs)
 
 
 def bundled_tokens():

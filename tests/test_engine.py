@@ -48,6 +48,15 @@ class TestForward:
         assert (y >= 0).all()
         np.testing.assert_allclose(y.sum(axis=-1), np.ones(5), atol=1e-9)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_softmax_in_its_own_buffer_keeps_the_bits(self, dtype):
+        x = E.philox(5).normal(0, 4, (3, 7, 33)).astype(dtype)
+        x[:, :, -5:] = -np.inf   # masked keys, as attention has
+        shifted = x - np.max(x, axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        want = e / np.sum(e, axis=-1, keepdims=True)
+        np.testing.assert_array_equal(bits(E.softmax(E.Tensor(x, dtype=dtype)).data), bits(want))
+
     def test_layer_norm_constant_row_is_zero(self):
         y = E.layer_norm(E.Tensor([1.0, 1.0, 1.0]), E.Tensor(np.ones(3)), E.Tensor(np.zeros(3)))
         np.testing.assert_allclose(y.data, [0.0, 0.0, 0.0])
@@ -315,6 +324,45 @@ class TestFusedLayersKeepBits:
         for name, g in grads_old.items():
             assert g is not None and grads_new[name].dtype == dtype, name
             np.testing.assert_array_equal(bits(grads_new[name]), bits(g), err_msg=name)
+
+
+class TestLinearGradModes:
+    """With grad mode on ``linear`` computes ``np.matmul(x, w) + b``, numpy's
+    product per leading index, so training keeps its bytes; with it off
+    the leading axes collapse into one 2-D GEMM, which on a 2-D ``x`` is
+    the same product."""
+
+    D, DFF = TestFusedLayersKeepBits.D, TestFusedLayersKeepBits.DFF
+
+    def operands(self, x_shape, n, dtype):
+        rng = E.philox(0x11EA, *x_shape, n)
+        x = E.Tensor(rng.uniform(-1, 1, x_shape), requires_grad=True, dtype=dtype)
+        w = E.Tensor(rng.uniform(-1, 1, (x_shape[-1], n)), requires_grad=True, dtype=dtype)
+        b = E.Tensor(rng.uniform(-1, 1, n), requires_grad=True, dtype=dtype)
+        return x, w, b
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("x_shape, n", [((8, 60, D), DFF), ((50, 1, D), DFF),
+                                            ((8, 60, DFF), D), ((4, 23, D), D)])
+    def test_grad_mode_is_the_batched_product(self, x_shape, n, dtype):
+        x, w, b = self.operands(x_shape, n, dtype)
+        out = E.linear(x, w, b)
+        assert out.requires_grad and out.data.dtype == dtype
+        np.testing.assert_array_equal(bits(out.data), bits(np.matmul(x.data, w.data) + b.data))
+        with E.no_grad():
+            fast = E.linear(x, w, b)
+        assert not fast.requires_grad and fast.data.shape == out.data.shape
+        # k products, each at most 1 in size, summed in two orders
+        k = x_shape[-1]
+        np.testing.assert_allclose(fast.data, out.data, rtol=0, atol=k * k * np.finfo(dtype).eps)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_two_dimensional_input_same_bits_in_both_modes(self, dtype):
+        x, w, b = self.operands((300, self.D), self.DFF, dtype)
+        on = E.linear(x, w, b).data
+        with E.no_grad():
+            off = E.linear(x, w, b).data
+        np.testing.assert_array_equal(bits(off), bits(on))
 
 
 def param(values, grad=None):

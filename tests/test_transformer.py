@@ -1,10 +1,13 @@
+import functools
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import protoform.engine as E
 from protoform import corpus as C
+from protoform import synth as S
 from protoform import transformer as T
 from protoform.corpus import ParseOptions, TokenizerOptions, build_vocab, parse_dataset
 from protoform.engine.rng import philox
@@ -298,6 +301,62 @@ class TestDecodeGolden:
         for r, word in enumerate(words):
             n = len(word) + (len(word) < self.MAX_LEN)
             assert list(logits[r, :n].argmax(axis=-1)) == list(tgt[r, 1:n + 1]), r
+
+
+def batched_linear(x, w, b):
+    """``linear`` as grad mode runs it: numpy's product per leading index."""
+    return E.Tensor(np.matmul(x.data, w.data) + b.data, dtype=x.data.dtype)
+
+
+@functools.lru_cache(maxsize=None)
+def sinitic_test_split(seed):
+    """The evaluate benchmark's corpus: 800 Sinitic-style sets of 12
+    varieties, split with seed 0; the encoded test split and its vocabulary."""
+    rules = S.parse_rules(resources.files("protoform.data").joinpath("sinitic_style.rules")
+                          .read_text("utf-8"))
+    ds = parse_dataset(S.generate_tsv(rules, 800, 12, seed))
+    train, _, test = C.split_dataset(ds, 0)
+    vocab = build_vocab(train)
+    return ds, vocab, C.encode_dataset(test, vocab)
+
+
+class TestNoGradGemmWords:
+    """Greedy decoding runs each affine layer as one 2-D GEMM, whose logits
+    may differ in the last bits from the batched product's that training
+    uses.  The words must not: a near-tie argmax must not flip.  Float32,
+    the dtype the evaluate benchmark decodes in; scaling every parameter
+    by 6 sharpens the logits."""
+
+    @pytest.fixture(autouse=True)
+    def float32(self):
+        prev = np.dtype(E.default_dtype()).name
+        E.set_default_dtype("float32")
+        yield
+        E.set_default_dtype(prev)
+
+    @staticmethod
+    def assert_same_words(model, enc, max_len, monkeypatch):
+        words = T.greedy_decode(model, enc, max_len)
+        with monkeypatch.context() as m:
+            m.setattr(E, "linear", batched_linear)
+            assert T.greedy_decode(model, enc, max_len) == words
+
+    @pytest.mark.parametrize("case", sorted(TestDecodeGolden.GOLDEN))
+    def test_golden_corpus(self, toy, case, monkeypatch):
+        ds, vocab = toy
+        model = TestDecodeGolden().scaled_model(ds, vocab, case)
+        self.assert_same_words(model, C.encode_dataset(ds, vocab), TestDecodeGolden.MAX_LEN,
+                               monkeypatch)
+
+    @pytest.mark.parametrize("scale", [1.0, 6.0])
+    @pytest.mark.parametrize("seed", [121, 1])
+    def test_sinitic_corpora(self, seed, scale, monkeypatch):
+        ds, vocab, enc = sinitic_test_split(seed)
+        model = T.Model(T.SINITIC.with_seed(0), vocab, ds.languages)
+        for p in model.params.values():
+            p.data *= scale
+        assert model.params["out.w"].data.dtype == np.float32
+        self.assert_same_words(model, enc, 20, monkeypatch)
 
 
 class TestTraining:
