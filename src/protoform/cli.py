@@ -42,12 +42,20 @@ class ValidationFailure(Exception):
 # configuration plumbing
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})")
+
+
 def _read_config(path: str | None) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     if path:
         if not os.path.exists(path):
             raise CliInputError(f"config file not found: {path}")
-        cp.read(path, encoding="utf-8")
+        cp.read_string(_read_text(path), source=path)
     return cp
 
 
@@ -122,8 +130,7 @@ def load_splits(args, cp) -> tuple:
     if not args.dataset:
         raise CliInputError("--dataset is required")
     options = parse_options_from(args, cp)
-    with open(args.dataset, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(args.dataset)
     try:
         ds = C.parse_dataset(text, options)
     except C.CorpusError as exc:
@@ -374,7 +381,7 @@ def cmd_probe(args) -> int:
     gold = None
     if args.gold_tree:
         try:
-            gold = P.load_newick(args.gold_tree)
+            gold = P.parse_newick(_read_text(args.gold_tree))
         except P.PhyloError as exc:
             raise CliInputError(f"cannot parse gold tree: {exc}")
     trained = _load_trained(args.checkpoints, seeds)
@@ -418,7 +425,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     try:
-        rules = S.load_rules(args.rules)
+        rules = S.parse_rules(_read_text(args.rules))
         n_daughters = len(rules.daughters) if args.n_daughters is None else args.n_daughters
         tsv = S.generate_tsv(rules, args.n_sets, n_daughters, args.seed)
     except S.SynthError as exc:

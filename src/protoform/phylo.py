@@ -82,39 +82,23 @@ def ward_cluster(m: DistanceMatrix) -> TreeNode:
     if not np.allclose(m.d, m.d.T, atol=1e-12) or np.any(np.diag(m.d) != 0):
         raise PhyloError("distance matrix must be symmetric with zero diagonal")
 
-    nodes = {i: TreeNode(name=m.labels[i], height=0.0) for i in range(n)}
-    sizes = {i: 1 for i in range(n)}
-    labels = {i: m.labels[i] for i in range(n)}
-    dist = {frozenset((i, j)): float(m.d[i, j]) for i in range(n) for j in range(i + 1, n)}
-    next_id = n
-    active = set(range(n))
-
-    while len(active) > 1:
-        best = None
-        for i, j in combinations(sorted(active), 2):
-            d = dist[frozenset((i, j))]
-            pair_labels = tuple(sorted((labels[i], labels[j])))
-            key = (d, pair_labels)
-            if best is None or key < best[0]:
-                best = (key, i, j)
-        (d_min, _), i, j = best
-        new = TreeNode(children=[nodes[i], nodes[j]], height=d_min)
-        nodes[next_id] = new
-        sizes[next_id] = sizes[i] + sizes[j]
-        labels[next_id] = min(labels[i], labels[j])
-        active -= {i, j}
-        for k in active:
-            dik = dist.pop(frozenset((i, k)))
-            djk = dist.pop(frozenset((j, k)))
-            dij = d_min
-            ni, nj, nk = sizes[i], sizes[j], sizes[k]
+    # one record per live cluster, (node, size, label), keyed by id; a merge
+    # takes the next id, so ``live`` stays in id order and pairs come (i < j)
+    live = {i: (TreeNode(name=name, height=0.0), 1, name) for i, name in enumerate(m.labels)}
+    dist = {(i, j): float(m.d[i, j]) for i in range(n) for j in range(i + 1, n)}
+    for new in range(n, 2 * n - 1):
+        i, j = min(combinations(live, 2), key=lambda p: (
+            dist[p], tuple(sorted((live[p[0]][2], live[p[1]][2])))))
+        (node_i, ni, label_i), (node_j, nj, label_j) = live.pop(i), live.pop(j)
+        dij = dist.pop((i, j))
+        for k, (_, nk, _) in live.items():
+            dik = dist.pop((min(i, k), max(i, k)))
+            djk = dist.pop((min(j, k), max(j, k)))
             d2 = ((ni + nk) * dik ** 2 + (nj + nk) * djk ** 2 - nk * dij ** 2) / (ni + nj + nk)
-            dist[frozenset((next_id, k))] = float(np.sqrt(max(d2, 0.0)))
-        dist.pop(frozenset((i, j)))
-        active.add(next_id)
-        next_id += 1
-
-    return nodes[next_id - 1]
+            dist[k, new] = float(np.sqrt(max(d2, 0.0)))
+        live[new] = (TreeNode(children=[node_i, node_j], height=dij), ni + nj,
+                     min(label_i, label_j))
+    return live[new][0]
 
 
 def _clades(tree: TreeNode) -> set:
@@ -123,15 +107,13 @@ def _clades(tree: TreeNode) -> set:
     out = set()
 
     def walk(node):
-        names = frozenset(node.leaf_names())
-        if not node.is_leaf():
-            out.add(names)
-            for c in node.children:
-                walk(c)
+        if node.is_leaf():
+            return frozenset((node.name,))
+        names = frozenset().union(*map(walk, node.children))
+        out.add(names)
         return names
 
-    walk(tree)
-    out.discard(frozenset(tree.leaf_names()))
+    out.discard(walk(tree))
     return out
 
 
@@ -149,22 +131,14 @@ def consensus(trees: list) -> TreeNode:
         for clade in _clades(t):
             counts[clade] = counts.get(clade, 0) + 1
     kept = [c for c, k in counts.items() if 2 * k > len(trees)]
-    kept.sort(key=lambda c: (-len(c), sorted(c)))
 
-    root = TreeNode(children=[TreeNode(name=n) for n in sorted(leaf_set)])
-    nodes = {frozenset([n.name]): n for n in root.children}
-    nodes[leaf_set] = root
-    for clade in kept:
-        parent = min((e for e in nodes if clade < e), key=len)
-        pnode = nodes[parent]
-        members = [n for n in pnode.children if set(n.leaf_names()) <= clade]
-        for n in members:
-            pnode.children.remove(n)
-        fresh = TreeNode(children=members)
-        pnode.children.append(fresh)
-        pnode.children.sort(key=lambda n: min(n.leaf_names()))
-        nodes[clade] = fresh
-    return root
+    # bottom-up: each kept clade, smallest first, adopts every parentless
+    # subtree inside it; siblings are ordered by their smallest leaf name
+    tops = {frozenset((name,)): TreeNode(name=name) for name in leaf_set}
+    for clade in sorted(kept, key=len):
+        inside = sorted((c for c in tops if c <= clade), key=min)
+        tops[clade] = TreeNode(children=[tops.pop(c) for c in inside])
+    return TreeNode(children=[tops[c] for c in sorted(tops, key=min)])
 
 
 def _quartet_topology(clades: set, quartet: frozenset):

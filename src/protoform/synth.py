@@ -197,8 +197,3 @@ def generate_tsv(rules: RuleSet, n_sets: int, n_daughters: int, seed: int) -> st
         cells = ["".join(derive(proto, rs)) for _, rs in chosen]
         lines.append(f"s{k:04d}\t" + "\t".join(cells) + "\t" + "".join(proto))
     return "\n".join(lines) + "\n"
-
-
-def load_rules(path: str) -> RuleSet:
-    with open(path, encoding="utf-8") as fh:
-        return parse_rules(fh.read())

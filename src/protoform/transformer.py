@@ -11,7 +11,7 @@ edit distance; inference is greedy.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -44,6 +44,12 @@ class TransformerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # one check for the INI values and a checkpoint's sidecar: an int
+        # field takes an int, a float field an int or a float; never a bool
+        for f in fields(self):
+            value, is_int = getattr(self, f.name), f.type == "int"
+            if isinstance(value, bool) or not isinstance(value, int if is_int else (int, float)):
+                raise ValueError(f"{f.name} {value!r} is not {'an integer' if is_int else 'a number'}")
         for name in ("d_model", "n_heads", "d_feedforward", "batch_size", "total_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} {getattr(self, name)} must be at least 1")

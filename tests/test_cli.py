@@ -187,20 +187,68 @@ class TestTrainEvaluate:
     LANGUAGES = {"ints": [1, 2, 3, 4, 5], "repeated": ["A", "A", "B", "C", "D"],
                  "string": "ABCDE"}
 
-    @pytest.mark.parametrize("command", ["evaluate", "probe"])
-    @pytest.mark.parametrize("case", sorted(LANGUAGES))
-    def test_bad_languages_exit_2(self, workdir, tmp_path, capsys, case, command):
-        ckpts = self._copy_run(workdir, f"languages_{case}_{command}")
+    def _fails_on_sidecar(self, workdir, tmp_path, capsys, command, name, edit):
+        """Runs ``command`` (evaluate or probe) on a copy of the run whose
+        sidecar ``edit`` changed in place; it must exit 2. Returns the line."""
+        ckpts = self._copy_run(workdir, name)
         sidecar = json.loads((ckpts / "seed0.json").read_text(encoding="utf-8"))
-        sidecar["languages"] = self.LANGUAGES[case]
+        edit(sidecar)
         (ckpts / "seed0.json").write_text(json.dumps(sidecar), encoding="utf-8")
         if command == "evaluate":
             args = ["evaluate", "--dataset", workdir / "toy.tsv", "--config",
                     workdir / "tiny.ini", "--seeds", "1@0", "--checkpoints", ckpts]
         else:
             args = ["probe", "--checkpoints", ckpts, "--seeds", "1@0"]
-        err = run_fails(args + ["--out", tmp_path / command], 2, capsys)
+        return run_fails(args + ["--out", tmp_path / command], 2, capsys)
+
+    @pytest.mark.parametrize("command", ["evaluate", "probe"])
+    @pytest.mark.parametrize("case", sorted(LANGUAGES))
+    def test_bad_languages_exit_2(self, workdir, tmp_path, capsys, case, command):
+        err = self._fails_on_sidecar(
+            workdir, tmp_path, capsys, command, f"languages_{case}_{command}",
+            lambda sidecar: sidecar.update(languages=self.LANGUAGES[case]))
         assert "languages" in err
+
+    CONFIG_TYPES = {"n_heads": True, "batch_size": True, "d_model": 16.0, "lr": "0.001"}
+
+    @pytest.mark.parametrize("command", ["evaluate", "probe"])
+    @pytest.mark.parametrize("key", sorted(CONFIG_TYPES))
+    def test_bad_config_type_exit_2(self, workdir, tmp_path, capsys, key, command):
+        value = self.CONFIG_TYPES[key]
+        err = self._fails_on_sidecar(
+            workdir, tmp_path, capsys, command, f"config_{key}_{command}",
+            lambda sidecar: sidecar["config"].update({key: value}))
+        kind = "a number" if key == "lr" else "an integer"
+        assert err.endswith(f": {key} {value!r} is not {kind}")
+
+
+class TestNotUtf8:
+    """A text input that is not UTF-8 (here a UTF-16 byte-order mark) ends
+    with exit 2 and one line naming the file, and nothing is written."""
+
+    BLOB = b"\xff\xfe" + "set_id\tA\n".encode("utf-16-le")
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--config", "--gold-tree"])
+    def test_exit_2_with_one_line(self, workdir, tmp_path, capsys, flag):
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes(self.BLOB)
+        args = {
+            "--dataset": ["baseline", "--dataset", bad, "--kinds", "random"],
+            "--config": ["baseline", "--dataset", workdir / "toy.tsv", "--config", bad,
+                         "--kinds", "random"],
+            "--gold-tree": ["probe", "--checkpoints", workdir / "run", "--seeds", "1@0",
+                            "--gold-tree", bad],
+        }[flag]
+        err = run_fails(args + ["--out", tmp_path / "out"], 2, capsys)
+        assert str(bad) in err and "UTF-8" in err
+
+    def test_synth_rules_exit_2_with_one_line(self, tmp_path, capsys):
+        bad, out = tmp_path / "utf16.rules", tmp_path / "out.tsv"
+        bad.write_bytes(self.BLOB)
+        assert run(["synth", "--rules", bad, "--n-sets", 5, "--out-file", out]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0]
+        assert not out.exists()
 
 
 class TestBadConfig:

@@ -171,6 +171,180 @@ class TestConsensus:
                 assert a <= b or b <= a or not (a & b)
 
 
+# The tree builders as they were before each became one structure, kept as
+# the reference the rewrite must match bit for bit.
+
+
+def reference_ward_cluster(m: P.DistanceMatrix) -> P.TreeNode:
+    n = len(m.labels)
+    nodes = {i: P.TreeNode(name=m.labels[i], height=0.0) for i in range(n)}
+    sizes = {i: 1 for i in range(n)}
+    labels = {i: m.labels[i] for i in range(n)}
+    dist = {frozenset((i, j)): float(m.d[i, j]) for i in range(n) for j in range(i + 1, n)}
+    next_id = n
+    active = set(range(n))
+    while len(active) > 1:
+        best = None
+        for i, j in itertools.combinations(sorted(active), 2):
+            d = dist[frozenset((i, j))]
+            pair_labels = tuple(sorted((labels[i], labels[j])))
+            key = (d, pair_labels)
+            if best is None or key < best[0]:
+                best = (key, i, j)
+        (d_min, _), i, j = best
+        new = P.TreeNode(children=[nodes[i], nodes[j]], height=d_min)
+        nodes[next_id] = new
+        sizes[next_id] = sizes[i] + sizes[j]
+        labels[next_id] = min(labels[i], labels[j])
+        active -= {i, j}
+        for k in active:
+            dik = dist.pop(frozenset((i, k)))
+            djk = dist.pop(frozenset((j, k)))
+            dij = d_min
+            ni, nj, nk = sizes[i], sizes[j], sizes[k]
+            d2 = ((ni + nk) * dik ** 2 + (nj + nk) * djk ** 2 - nk * dij ** 2) / (ni + nj + nk)
+            dist[frozenset((next_id, k))] = float(np.sqrt(max(d2, 0.0)))
+        dist.pop(frozenset((i, j)))
+        active.add(next_id)
+        next_id += 1
+    return nodes[next_id - 1]
+
+
+def reference_clades(tree: P.TreeNode) -> set:
+    out = set()
+
+    def walk(node):
+        names = frozenset(node.leaf_names())
+        if not node.is_leaf():
+            out.add(names)
+            for c in node.children:
+                walk(c)
+        return names
+
+    walk(tree)
+    out.discard(frozenset(tree.leaf_names()))
+    return out
+
+
+def reference_consensus(trees: list) -> P.TreeNode:
+    leaf_set = frozenset(trees[0].leaf_names())
+    counts: dict = {}
+    for t in trees:
+        for clade in reference_clades(t):
+            counts[clade] = counts.get(clade, 0) + 1
+    kept = [c for c, k in counts.items() if 2 * k > len(trees)]
+    kept.sort(key=lambda c: (-len(c), sorted(c)))
+    root = P.TreeNode(children=[P.TreeNode(name=n) for n in sorted(leaf_set)])
+    nodes = {frozenset([n.name]): n for n in root.children}
+    nodes[leaf_set] = root
+    for clade in kept:
+        parent = min((e for e in nodes if clade < e), key=len)
+        pnode = nodes[parent]
+        members = [n for n in pnode.children if set(n.leaf_names()) <= clade]
+        for n in members:
+            pnode.children.remove(n)
+        fresh = P.TreeNode(children=members)
+        pnode.children.append(fresh)
+        pnode.children.sort(key=lambda n: min(n.leaf_names()))
+        nodes[clade] = fresh
+    return root
+
+
+def exact_shape(node: P.TreeNode):
+    """Names, exact heights and child order, for bit-for-bit comparison."""
+    return (node.name, node.height, tuple(exact_shape(c) for c in node.children))
+
+
+class TestTreeBuildersMatchReference:
+    """Ward trees, clade sets, consensus trees and GQD of the rewritten
+    builders against the reference copies above, on seeded random cases
+    whose rounded distances and duplicate rows force ties."""
+
+    @staticmethod
+    def random_matrix(rng, labels):
+        n = len(labels)
+        if rng.randint(2):
+            # small-integer embeddings with repeated rows: many equal cosines
+            pool = [[float(rng.randint(5) - 2) for _ in range(3)] for _ in range(1 + rng.randint(n))]
+            pool = [v for v in pool if any(v)] or [[1.0, 0.0, 0.0]]
+            d = P.cosine_distance_matrix(
+                embeddings(*(pool[rng.randint(len(pool))] for _ in range(n)))).d
+        else:
+            d = np.zeros((n, n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    d[i, j] = d[j, i] = round(uniform(rng), 1)
+            for _ in range(rng.randint(3)):
+                i, j = rng.randint(n), rng.randint(n)
+                if i != j:
+                    d[i], d[:, i] = d[j], d[:, j]
+                    d[i, i] = d[i, j] = d[j, i] = 0.0
+        return P.DistanceMatrix(labels, d)
+
+    @staticmethod
+    def jitter(rng, m):
+        """The same languages at a nearby, rounded distance matrix."""
+        d = m.d.copy()
+        n = len(m.labels)
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i, j] = d[j, i] = round(d[i, j] + 0.2 * uniform(rng), 1)
+        return P.DistanceMatrix(m.labels, d)
+
+    def test_random_cases(self, monkeypatch):
+        rng = DetRng(1414)
+        kept_clades = 0
+        for _ in range(300):
+            n = 2 + rng.randint(12)
+            labels = [f"L{k}" for k in range(n)]
+            rng.shuffle(labels)
+            base = self.random_matrix(rng, labels)
+            trees, refs = [], []
+            for m in [base] + [self.jitter(rng, base) for _ in range(rng.randint(7))]:
+                t, r = P.ward_cluster(m), reference_ward_cluster(m)
+                assert P.serialize_newick(t) == P.serialize_newick(r)
+                assert exact_shape(t) == exact_shape(r)
+                assert P._clades(t) == reference_clades(r)
+                trees.append(t)
+                refs.append(r)
+            cons, ref = P.consensus(trees), reference_consensus(refs)
+            assert P.serialize_newick(cons) == P.serialize_newick(ref)
+            assert exact_shape(cons) == exact_shape(ref)
+            assert P._clades(cons) == reference_clades(ref)
+            kept_clades += len(P._clades(cons))
+            if n >= 4:
+                got = P.gqd(trees[0], cons)
+                with monkeypatch.context() as mp:
+                    mp.setattr(P, "_clades", reference_clades)
+                    assert P.gqd(refs[0], ref) == got
+        assert kept_clades > 300
+
+    def test_multifurcating_and_unary_trees(self):
+        rng = DetRng(77)
+
+        def build(names):
+            if len(names) == 1:
+                node = P.TreeNode(name=names[0])
+            else:
+                cuts = sorted({1 + rng.randint(len(names) - 1)
+                               for _ in range(1 + rng.randint(3))})
+                parts = [names[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(names)])]
+                node = P.TreeNode(children=[build(p) for p in parts])
+            return P.TreeNode(children=[node]) if rng.randint(6) == 0 else node
+
+        for _ in range(200):
+            names = [f"L{k}" for k in range(1 + rng.randint(9))]
+            trees = []
+            for _ in range(1 + rng.randint(7)):
+                order = list(names)
+                rng.shuffle(order)
+                trees.append(build(order))
+            for t in trees:
+                assert P._clades(t) == reference_clades(t)
+            cons, ref = P.consensus(trees), reference_consensus(trees)
+            assert exact_shape(cons) == exact_shape(ref)
+
+
 def path_disjoint_topology(tree, a, b, c, d):
     """Oracle: pairing xy|zw holds iff the x-y and z-w paths share no node."""
     parent, order = {}, []
