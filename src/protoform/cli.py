@@ -3,15 +3,18 @@
 Subcommands: train, evaluate, baseline, probe, gradcheck, synth.  Every
 command is a pure function of its inputs and seeds: reports carry no
 timestamps, iteration orders are fixed, and reruns produce byte-identical
-outputs.  Exit codes: 0 success, 1 assertion/validation failure, 2 I/O or
-config error.  Each command reads and checks every input before it
-creates ``--out``, so a command that fails on its inputs writes nothing.
+outputs.  Exit codes: 0 success, 1 assertion/validation failure or out of
+memory, 2 I/O or config error.  Each command reads and checks every input
+before it creates ``--out``, so a command that fails on its inputs writes
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
+import operator
 import os
 import sys
 from dataclasses import asdict, replace
@@ -53,8 +56,6 @@ def _read_text(path: str) -> str:
 def _read_config(path: str | None) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     if path:
-        if not os.path.exists(path):
-            raise CliInputError(f"config file not found: {path}")
         cp.read_string(_read_text(path), source=path)
     return cp
 
@@ -158,21 +159,19 @@ def _echo_config(out_dir: str, args, options: C.ParseOptions, cfg, seeds) -> Non
 # train
 
 
-def _train_one(payload: dict) -> dict:
-    """Runs in a worker process, whose pool initializer set the dtype;
-    reads everything else from the payload."""
-    train_ds = payload["train"]
-    cfg = payload["cfg"].with_seed(payload["seed"])
-    model = T.Model(cfg, payload["vocab"], train_ds.languages)
-    trained = T.train(model, train_ds, payload["val"], cfg)
-    prefix = payload["prefix"]
+def _train_one(train_ds, val_ds, vocab, cfg, out_dir: str, seed: int) -> tuple:
+    """Trains and saves one seed; runs in a worker process, whose pool
+    initializer set the dtype.  Returns (seed, best_epoch, best_val_ped)."""
+    cfg = cfg.with_seed(seed)
+    model = T.Model(cfg, vocab, train_ds.languages)
+    trained = T.train(model, train_ds, val_ds, cfg)
+    prefix = os.path.join(out_dir, f"seed{seed}")
     trained.save(prefix)
     with open(prefix + "_history.csv", "w", encoding="utf-8") as fh:
         fh.write("epoch,lr,train_loss,val_ped\n")
         for row in trained.history:
             fh.write(f"{row['epoch']},{row['lr']:.10g},{row['train_loss']:.6f},{row['val_ped']:.6f}\n")
-    return {"seed": payload["seed"], "best_epoch": trained.best_epoch,
-            "best_val_ped": trained.best_val_ped}
+    return seed, trained.best_epoch, trained.best_val_ped
 
 
 def _workers() -> int:
@@ -195,25 +194,17 @@ def cmd_train(args) -> int:
     vocab = C.build_vocab(train_ds)
     os.makedirs(args.out, exist_ok=True)
     _echo_config(args.out, args, options, cfg, seeds)
-    payloads = [{
-        "train": train_ds,
-        "val": val_ds,
-        "vocab": vocab,
-        "cfg": cfg,
-        "seed": seed,
-        "prefix": os.path.join(args.out, f"seed{seed}"),
-    } for seed in seeds]
-    if workers > 1 and len(payloads) > 1:
+    job = functools.partial(_train_one, train_ds, val_ds, vocab, cfg, args.out)
+    if workers > 1 and len(seeds) > 1:
         import multiprocessing as mp
         dtype = E.default_dtype().__name__
-        with mp.get_context("spawn").Pool(min(workers, len(payloads)),
+        with mp.get_context("spawn").Pool(min(workers, len(seeds)),
                                           E.set_default_dtype, (dtype,)) as pool:
-            results = pool.map(_train_one, payloads)
+            results = pool.map(job, seeds)
     else:
-        results = [_train_one(p) for p in payloads]
-    for r in sorted(results, key=lambda r: r["seed"]):
-        print(f"seed {r['seed']}: best epoch {r['best_epoch']} "
-              f"(val PED {r['best_val_ped']:.4f})")
+        results = [job(seed) for seed in seeds]
+    for seed, best_epoch, best_val_ped in sorted(results):
+        print(f"seed {seed}: best epoch {best_epoch} (val PED {best_val_ped:.4f})")
     return 0
 
 
@@ -234,61 +225,41 @@ def _load_trained(checkpoint_dir: str, seeds) -> list:
     return out
 
 
-def _metric_values(rep: M.MetricsReport) -> dict:
-    return {"PED": rep.ped, "NPED": rep.nped, "Acc%": rep.accuracy,
-            "FER": rep.fer, "BCFS": rep.bcfs}
-
-
 COLUMNS = ("PED", "NPED", "Acc%", "FER", "BCFS")
+# a MetricsReport as one score tuple in COLUMNS order
+_scores = operator.attrgetter("ped", "nped", "accuracy", "fer", "bcfs")
 
 
-def _format_table(rows: list) -> str:
-    """rows: (system, {col: (mean, sd | None)})."""
-    width = max(len(r[0]) for r in rows) + 2
-    head = "system".ljust(width) + "  ".join(c.rjust(16) for c in COLUMNS)
-    lines = [head]
-    for name, vals in rows:
-        cells = []
-        for col in COLUMNS:
-            mean, sd = vals[col]
-            if mean is None:
-                cells.append("-".rjust(16))
-            elif sd is None:
-                cells.append(f"{mean:.4f}".rjust(16))
-            else:
-                cells.append(f"{mean:.4f}±{sd:.4f}".rjust(16))
-        lines.append(name.ljust(width) + "  ".join(cells))
-    return "\n".join(lines) + "\n"
+def _csv_line(first: str, values) -> str:
+    return ",".join([first] + ["" if v is None else f"{v:.6f}" for v in values]) + "\n"
 
 
 def _write_results(out_dir: str, rows: list) -> None:
-    table = _format_table(rows)
-    sys.stdout.write(table)
-    with open(os.path.join(out_dir, "results.txt"), "w", encoding="utf-8") as fh:
-        fh.write(table)
-    with open(os.path.join(out_dir, "results.csv"), "w", encoding="utf-8") as fh:
-        fh.write("system," + ",".join(
-            f"{c.lower().rstrip('%')},{c.lower().rstrip('%')}_sd" for c in COLUMNS) + "\n")
-        for name, vals in rows:
-            cells = []
-            for col in COLUMNS:
-                mean, sd = vals[col]
-                cells.append("" if mean is None else f"{mean:.6f}")
-                cells.append("" if sd is None else f"{sd:.6f}")
-            fh.write(name + "," + ",".join(cells) + "\n")
-
-
-def _aggregate(per_seed: list) -> dict:
-    out = {}
-    for col in COLUMNS:
-        vals = [m[col] for m in per_seed]
-        if any(v is None for v in vals):
-            out[col] = (None, None)
-        elif len(vals) == 1:
-            out[col] = (vals[0], None)
-        else:
-            out[col] = (float(np.mean(vals)), float(np.std(vals, ddof=1)))
-    return out
+    """rows: (system, [score tuple per seed]); reports each column's mean
+    and, over two or more seeds, its sd."""
+    width = max(len(name) for name, _ in rows) + 2
+    table = ["system".ljust(width) + "  ".join(c.rjust(16) for c in COLUMNS) + "\n"]
+    csv = ["system," + ",".join(
+        f"{c.lower().rstrip('%')},{c.lower().rstrip('%')}_sd" for c in COLUMNS) + "\n"]
+    for name, scores in rows:
+        cells, values = [], []
+        for vals in zip(*scores):
+            if any(v is None for v in vals):
+                cells.append("-")
+                values += [None, None]
+            elif len(vals) == 1:
+                cells.append(f"{vals[0]:.4f}")
+                values += [vals[0], None]
+            else:
+                mean, sd = float(np.mean(vals)), float(np.std(vals, ddof=1))
+                cells.append(f"{mean:.4f}±{sd:.4f}")
+                values += [mean, sd]
+        table.append(name.ljust(width) + "  ".join(c.rjust(16) for c in cells) + "\n")
+        csv.append(_csv_line(name, values))
+    sys.stdout.writelines(table)
+    for file_name, lines in (("results.txt", table), ("results.csv", csv)):
+        with open(os.path.join(out_dir, file_name), "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
 
 
 BASELINES = {"random": "random-daughter", "majority": "majority-constituent",
@@ -316,7 +287,7 @@ def _baseline_rows(kinds, train_ds, test_ds, ft, seed) -> list:
             sites = sites or B.align_cognates(train_ds)
             clf = B.train_site_classifier(sites, kind, seed=seed)
             preds = [B.reconstruct_with_classifier(clf, cs) for cs in test_ds.sets]
-        rows.append((BASELINES[kind], _aggregate([_metric_values(M.evaluate(preds, golds, ft))])))
+        rows.append((BASELINES[kind], [_scores(M.evaluate(preds, golds, ft))]))
     return rows
 
 
@@ -346,16 +317,15 @@ def cmd_evaluate(args) -> int:
     for tm in trained:
         preds = T.greedy_decode(tm.model, examples, tm.max_decode_len)
         empty_total += sum(not p for p in preds)
-        per_seed.append(_metric_values(M.evaluate(preds, golds, ft)))
-    rows = [("transformer", _aggregate(per_seed))]
+        per_seed.append(_scores(M.evaluate(preds, golds, ft)))
+    rows = [("transformer", per_seed)]
     rows += _baseline_rows(kinds, train_ds, test_ds, ft, seeds[0])
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "per_seed.csv"), "w", encoding="utf-8") as fh:
         fh.write("seed," + ",".join(c.lower().rstrip("%") for c in COLUMNS) + "\n")
-        for seed, m in zip(seeds, per_seed):
-            fh.write(str(seed) + "," + ",".join(
-                "" if m[c] is None else f"{m[c]:.6f}" for c in COLUMNS) + "\n")
+        for seed, scores in zip(seeds, per_seed):
+            fh.write(_csv_line(str(seed), scores))
     if empty_total:
         print(f"note: {empty_total} empty prediction(s) across seeds")
     _write_results(args.out, rows)
@@ -424,12 +394,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        rules = S.parse_rules(_read_text(args.rules))
-        n_daughters = len(rules.daughters) if args.n_daughters is None else args.n_daughters
-        tsv = S.generate_tsv(rules, args.n_sets, n_daughters, args.seed)
-    except S.SynthError as exc:
-        raise CliInputError(str(exc))
+    rules = S.parse_rules(_read_text(args.rules))
+    n_daughters = len(rules.daughters) if args.n_daughters is None else args.n_daughters
+    tsv = S.generate_tsv(rules, args.n_sets, n_daughters, args.seed)
     if args.out_file == "-":
         sys.stdout.write(tsv)
     else:
@@ -515,11 +482,11 @@ def main(argv=None) -> int:
     try:
         _dtype_from_env()
         return args.handler(args)
-    except (CliInputError, OSError, configparser.Error) as exc:
+    except (CliInputError, OSError, configparser.Error, S.SynthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValidationFailure, C.CorpusError, E.EngineError, M.MetricsError,
-            B.BaselineError, P.PhyloError) as exc:
+            B.BaselineError, P.PhyloError, MemoryError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

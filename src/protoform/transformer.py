@@ -11,6 +11,7 @@ edit distance; inference is greedy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -56,10 +57,10 @@ class TransformerConfig:
         for name in ("n_encoder_layers", "n_decoder_layers", "warmup_epochs"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} {getattr(self, name)} must not be negative")
-        if not self.lr > 0.0:
-            raise ValueError(f"lr {self.lr} must be positive")
-        if not self.weight_decay >= 0.0:
-            raise ValueError(f"weight_decay {self.weight_decay} must not be negative")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr {self.lr} must be positive and finite")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay {self.weight_decay} must be finite and not negative")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout_p < 1.0:

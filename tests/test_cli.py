@@ -262,7 +262,10 @@ class TestBadConfig:
         "n_decoder_layers = -1",
         "warmup_epochs = -1",
         "lr = 0",
+        "lr = inf",
+        "lr = 1e400",
         "weight_decay = -1e-3",
+        "weight_decay = inf",
         "seed = 7",
     ])
     def test_exit_2_with_one_line(self, workdir, tmp_path, capsys, line):
@@ -276,6 +279,18 @@ class TestBadConfig:
         assert len(err) == 1 and err[0].startswith("error:")
         assert key in err[0]
         assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_exit_1_with_one_line(self, workdir, tmp_path):
+        # 10**15 columns of float64 weights exceed any address space
+        ini = tmp_path / "huge.ini"
+        ini.write_text(TINY_INI.replace("d_feedforward = 64",
+                                        "d_feedforward = 1000000000000000"),
+                       encoding="utf-8")
+        proc = run_fresh(["train", "--dataset", workdir / "toy.tsv", "--config", ini,
+                          "--seeds", "1@0", "--out", tmp_path / "out"])
+        assert proc.returncode == 1
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("failure: Unable to allocate"), err
 
     def test_preset_flag_wins_over_config_preset(self, workdir, tmp_path):
         ini = tmp_path / "preset.ini"
@@ -307,6 +322,65 @@ class TestBadCorpusConfig:
                     "--seeds", "1@0", "--out", tmp_path / "out"]) == 0
         echo = (tmp_path / "out" / "config.ini").read_text(encoding="utf-8")
         assert "stress = strip" in echo and "strip_length = true" in echo
+
+
+BASELINE_TXT = """\
+system                             PED              NPED              Acc%               FER              BCFS
+random-daughter                 0.2500            0.0667           75.0000            0.0069            0.9643
+majority-constituent            0.0000            0.0000          100.0000            0.0000            1.0000
+"""
+
+BASELINE_CSV = """\
+system,ped,ped_sd,nped,nped_sd,acc,acc_sd,fer,fer_sd,bcfs,bcfs_sd
+random-daughter,0.250000,,0.066667,,75.000000,,0.006944,,0.964286,
+majority-constituent,0.000000,,0.000000,,100.000000,,0.000000,,1.000000,
+"""
+
+
+class TestReportFormat:
+    def test_baseline_report_bytes(self, tmp_path):
+        # DetRng draws and pure-Python metrics: no BLAS result reaches these numbers
+        rules = tmp_path / "sinitic_style.rules"
+        rules.write_text(resources.files("protoform.data").joinpath("sinitic_style.rules")
+                         .read_text("utf-8"), encoding="utf-8")
+        tsv, out = tmp_path / "mono.tsv", tmp_path / "out"
+        assert run(["synth", "--rules", rules, "--n-sets", 40, "--seed", 3,
+                    "--out-file", tsv]) == 0
+        assert run(["baseline", "--dataset", tsv, "--kinds", "random,majority",
+                    "--out", out]) == 0
+        assert (out / "results.txt").read_text(encoding="utf-8") == BASELINE_TXT
+        assert (out / "results.csv").read_text(encoding="utf-8") == BASELINE_CSV
+
+    def test_two_seed_orthographic_report_structure(self, workdir, tmp_path):
+        ini = tmp_path / "one_epoch.ini"
+        ini.write_text(TINY_INI.replace("total_epochs = 6", "total_epochs = 1"),
+                       encoding="utf-8")
+        common = ["--dataset", workdir / "toy.tsv", "--config", ini, "--orthographic",
+                  "--seeds", "2@0"]
+        ckpts, out = tmp_path / "run", tmp_path / "eval"
+        assert run(["train", *common, "--out", ckpts]) == 0
+        assert run(["evaluate", *common, "--checkpoints", ckpts, "--baselines", "random",
+                    "--out", out]) == 0
+        fer = cli.COLUMNS.index("FER")
+        table = [line.split() for line in
+                 (out / "results.txt").read_text(encoding="utf-8").splitlines()]
+        assert table[0] == ["system", *cli.COLUMNS]
+        assert [row[0] for row in table[1:]] == ["transformer", "random-daughter"]
+        for row, spread in zip(table[1:], (True, False)):
+            cells = row[1:]
+            assert cells[fer] == "-", row
+            assert all(("±" in c) == spread for i, c in enumerate(cells) if i != fer), row
+        results = [line.split(",") for line in
+                   (out / "results.csv").read_text(encoding="utf-8").splitlines()]
+        assert all(row[1 + 2 * fer] == row[2 + 2 * fer] == "" for row in results[1:])
+        assert all(cell for i, cell in enumerate(results[1][1:]) if i // 2 != fer)
+        per_seed = [line.split(",") for line in
+                    (out / "per_seed.csv").read_text(encoding="utf-8").splitlines()]
+        assert per_seed[0] == ["seed", "ped", "nped", "acc", "fer", "bcfs"]
+        assert [row[0] for row in per_seed[1:]] == ["0", "1"]
+        assert all(row[1 + fer] == "" for row in per_seed[1:])
+        assert all(all(cell for i, cell in enumerate(row[1:]) if i != fer)
+                   for row in per_seed[1:])
 
 
 class TestMajorityBaseline:
