@@ -169,60 +169,69 @@ class AlignedSiteMatrix:
     languages: list               # LanguageId order from the source dataset
 
 
-def _consensus(columns_rows: list) -> list:
-    """Per column: most frequent non-gap symbol, ties to smallest."""
-    n = len(columns_rows[0])
-    cons = []
-    for j in range(n):
-        counts: dict = {}
-        for row in columns_rows:
-            s = row[j]
-            if s != GAP:
-                counts[s] = counts.get(s, 0) + 1
-        cons.append(_mode(counts))
-    return cons
-
-
-def _merge(rows: list, word: Word) -> list:
+def _merge(rows: list, columns: list, word: Word, memo: dict) -> list:
     """Align `word` against the consensus of `rows`; a gap on the consensus
-    side opens a gap column in every earlier row.  Returns the word's row."""
+    side opens a gap column in every earlier row.  Returns the word's row.
+
+    `columns` holds a [counts, mode] pair per column: the counts of its
+    non-gap symbols and the consensus symbol, the most frequent of them
+    with ties to the smallest.  The word's symbols are added to it.
+    `memo` holds the alignment of every (consensus, word) pair seen so far
+    in the caller's scope."""
+    key = (tuple(mode for _, mode in columns), tuple(word))
+    pairs = memo.get(key)
+    if pairs is None:
+        pairs = memo[key] = nw_align(*key, _class_cost)
     new_row: list = []
-    pairs = nw_align(tuple(_consensus(rows)), tuple(word), _class_cost)
     for col, (c_sym, tok) in enumerate(pairs):
         if c_sym is None:
             for row in rows:
                 row.insert(col, GAP)
-        new_row.append(GAP if tok is None else tok)
+            columns.insert(col, [{}, tok])
+        if tok is None:
+            new_row.append(GAP)
+            continue
+        new_row.append(tok)
+        column = columns[col]
+        counts, mode = column
+        n = counts[tok] = counts.get(tok, 0) + 1
+        # only tok's count grew, so by _mode's order the mode stays or becomes tok
+        if (-n, tok) < (-counts[mode], mode):
+            column[1] = tok
     return new_row
 
 
-def _progressive(ordered_words: list) -> list:
+def _progressive(ordered_words: list, memo: dict) -> tuple:
     """Align words (given as token tuples) one at a time against the running
     consensus; gaps propagate into earlier rows.  Returns the row list in
-    input order."""
+    input order and the columns' [counts, mode] pairs."""
     rows = [list(ordered_words[0])]
+    columns = [[{s: 1}, s] for s in ordered_words[0]]
     for word in ordered_words[1:]:
-        rows.append(_merge(rows, word))
-    return rows
+        rows.append(_merge(rows, columns, word, memo))
+    return rows, columns
 
 
-def align_daughters(cs: CognateSet, lang_index: dict) -> AlignedSet:
-    """Progressive alignment of the set's attested daughters, longest first."""
+def align_daughters(cs: CognateSet, lang_index: dict, memo: dict) -> tuple:
+    """Progressive alignment of the set's attested daughters, longest first:
+    the AlignedSet and its columns' [counts, mode] pairs."""
     present = sorted(cs.daughters, key=lambda n: (-len(cs.daughters[n]), lang_index[n]))
-    rows = _progressive([cs.daughters[n] for n in present])
-    return AlignedSet(cs.set_id, dict(zip(present, rows)))
+    rows, columns = _progressive([cs.daughters[n] for n in present], memo)
+    return AlignedSet(cs.set_id, dict(zip(present, rows))), columns
 
 
 def align_cognates(ds: Dataset) -> AlignedSiteMatrix:
     """Alignments for every cognate set, each with its proto row aligned
-    last so daughter-vs-daughter decisions never see the protoform."""
+    last so daughter-vs-daughter decisions never see the protoform.  Each
+    distinct (consensus, word) pair is aligned once per call."""
     if not ds.sets:
         raise BaselineError("cannot align an empty dataset")
     lang_index = {l.name: l.index for l in ds.languages}
+    memo: dict = {}
     out = []
     for cs in ds.sets:
-        aset = align_daughters(cs, lang_index)
-        aset.proto_row = _merge(list(aset.rows.values()), cs.proto)
+        aset, columns = align_daughters(cs, lang_index, memo)
+        aset.proto_row = _merge(list(aset.rows.values()), columns, cs.proto, memo)
         out.append(aset)
     return AlignedSiteMatrix(out, list(ds.languages))
 
@@ -430,7 +439,7 @@ def train_site_classifier(sites: AlignedSiteMatrix, kind: str,
 def reconstruct_with_classifier(clf, cs: CognateSet) -> Word:
     """Align the set's daughters, predict a proto symbol per column, drop
     the gaps.  An all-gap prediction yields an empty word."""
-    aset = align_daughters(cs, clf.lang_index)
+    aset, _ = align_daughters(cs, clf.lang_index, {})
     out = []
     for j in range(aset.n_cols):
         label = clf.predict(column_features(aset, j, clf.cfg))

@@ -65,5 +65,7 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
                 f"{len(payload)}-byte payload (truncated file?)"
             )
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise EngineError(f"checkpoint {path}: tensor {name!r} holds a NaN or an infinity")
         out[name] = arr.reshape(shape).copy()
     return out

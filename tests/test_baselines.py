@@ -12,7 +12,7 @@ from protoform import corpus
 from protoform import synth as S
 from protoform.corpus import CognateSet, Dataset, LanguageId, parse_dataset, split_dataset
 from protoform.engine.rng import DetRng, mix64, philox
-from protoform.metrics import GAP
+from protoform.metrics import GAP, nw_align
 
 
 def bundled_rules(name):
@@ -248,13 +248,13 @@ class TestAlignment:
         for _ in range(50):
             words = [tuple(alphabet[rng.randint(7)] for _ in range(rng.randint(4) + 1))
                      for _ in range(3)]
-            rows = B._progressive(sorted(words, key=len, reverse=True))
+            rows, _ = B._progressive(sorted(words, key=len, reverse=True), {})
             for row, word in zip(rows, sorted(words, key=len, reverse=True)):
                 assert tuple(s for s in row if s != GAP) == word
 
     def test_three_row_toy_matches_brute_force(self):
         words = [("k", "a", "t", "o"), ("k", "a", "t"), ("a", "t")]
-        rows = B._progressive(words)
+        rows, _ = B._progressive(words, {})
         assert sp_cost(rows) == pytest.approx(brute_force_msa_cost(words))
 
     def test_proto_aligned_last_does_not_reorder_daughters(self):
@@ -263,6 +263,133 @@ class TestAlignment:
         assert tuple(s for s in aset.rows["L0"] if s != GAP) == ("k", "a")
         assert tuple(s for s in aset.proto_row if s != GAP) == ("k", "a", "n", "u")
         assert len(aset.proto_row) == aset.n_cols
+
+
+# Progressive alignment as written before per-column counts and the
+# per-call memo: every merge recounts the consensus from all earlier rows
+# and runs nw_align.
+
+def old_consensus(columns_rows):
+    n = len(columns_rows[0])
+    cons = []
+    for j in range(n):
+        counts = {}
+        for row in columns_rows:
+            s = row[j]
+            if s != GAP:
+                counts[s] = counts.get(s, 0) + 1
+        cons.append(B._mode(counts))
+    return cons
+
+
+def old_merge(rows, word):
+    new_row = []
+    pairs = nw_align(tuple(old_consensus(rows)), tuple(word), B._class_cost)
+    for col, (c_sym, tok) in enumerate(pairs):
+        if c_sym is None:
+            for row in rows:
+                row.insert(col, GAP)
+        new_row.append(GAP if tok is None else tok)
+    return new_row
+
+
+def old_progressive(ordered_words):
+    rows = [list(ordered_words[0])]
+    for word in ordered_words[1:]:
+        rows.append(old_merge(rows, word))
+    return rows
+
+
+def old_align_daughters(cs, lang_index):
+    present = sorted(cs.daughters, key=lambda n: (-len(cs.daughters[n]), lang_index[n]))
+    return dict(zip(present, old_progressive([cs.daughters[n] for n in present])))
+
+
+def old_align_cognates(ds):
+    """(set id, rows, proto row) per set."""
+    lang_index = {l.name: l.index for l in ds.languages}
+    out = []
+    for cs in ds.sets:
+        rows = old_align_daughters(cs, lang_index)
+        out.append((cs.set_id, rows, old_merge(list(rows.values()), cs.proto)))
+    return out
+
+
+def twelve_daughters():
+    # ~15 features a column, and numpy sums 8 or more contiguous terms
+    # pairwise: on this corpus a fit that sums a sample's weights in
+    # another order ends with other bits
+    return parse_dataset(S.generate_tsv(bundled_rules("sinitic_style.rules"), 240, 12, seed=0))
+
+
+def tie_heavy_sets(n_sets=300):
+    """Random sets over a 3-symbol alphabet: up to six daughters of one to
+    six symbols, some missing, so consensus ties and gap columns abound.
+    The synthetic corpora rarely move a column's consensus once set, so a
+    wrong tie rule or a missed mode update shows only on these sets."""
+    rng = DetRng(mix64(0xA119, 0))
+    alphabet = ("a", "i", "t")
+    langs = [LanguageId(f"L{i}", i) for i in range(6)]
+
+    def word():
+        return tuple(alphabet[rng.randint(3)] for _ in range(1 + rng.randint(6)))
+
+    sets = []
+    for k in range(n_sets):
+        daughters = {l.name: word() for l in langs if rng.randint(4)}
+        sets.append(CognateSet(f"r{k}", word(), daughters or {"L0": word()}))
+    return Dataset(sets, langs, "P")
+
+
+class TestAlignmentEquivalence:
+    """Column counts and the memo leave every row as the old recount did."""
+
+    CORPORA = {"synth5": synth5_corpus, "twelve": twelve_daughters, "random": tie_heavy_sets}
+
+    @pytest.mark.parametrize("name", sorted(CORPORA))
+    def test_rows_and_proto_rows_equal(self, name):
+        ds = self.CORPORA[name]()
+        sites = B.align_cognates(ds)
+        old = old_align_cognates(ds)
+        assert len(sites.sets) == len(old)
+        for aset, (set_id, rows, proto_row) in zip(sites.sets, old):
+            assert aset.set_id == set_id
+            assert list(aset.rows.items()) == list(rows.items())
+            assert aset.proto_row == proto_row
+
+    @pytest.mark.parametrize("kind", ["pattern", "linear"])
+    def test_reconstruct_equal(self, kind):
+        train, test = sinitic_splits()
+        clf = B.train_site_classifier(B.align_cognates(train), kind, seed=1)
+
+        def old_reconstruct(cs):
+            rows = old_align_daughters(cs, clf.lang_index)
+            aset = B.AlignedSet(cs.set_id, rows)
+            labels = [clf.predict(B.column_features(aset, j, clf.cfg))
+                      for j in range(aset.n_cols)]
+            return tuple(label for label in labels if label != GAP)
+
+        for cs in test.sets:
+            assert B.reconstruct_with_classifier(clf, cs) == old_reconstruct(cs)
+
+    def test_memo_lives_for_one_call(self, monkeypatch):
+        train = sinitic_splits()[0]
+        calls = []
+        original = B.nw_align
+
+        def spy(a, b, sub_cost):
+            calls.append((a, b))
+            return original(a, b, sub_cost)
+
+        monkeypatch.setattr(B, "nw_align", spy)
+        B.align_cognates(train)
+        first = len(calls)
+        B.align_cognates(train)
+        assert len(calls) == 2 * first
+        assert len(set(calls[:first])) == first   # each pair aligned once per call
+        # a set merges every daughter but the first, then the proto
+        merges = sum(len(cs.daughters) for cs in train.sets)
+        assert 0 < first < merges
 
 
 class TestClassifiers:
@@ -447,19 +574,11 @@ class NoSlack(B.LinearClassifier):
 class TestLinearFitLoop:
     """The fitted weights are bit-equal to the plainly written loop's."""
 
-    @staticmethod
-    def twelve_daughters():
-        # ~15 features a column, and numpy sums 8 or more contiguous terms
-        # pairwise: on this corpus a fit that sums a sample's weights in
-        # another order ends with other bits
-        return parse_dataset(S.generate_tsv(bundled_rules("sinitic_style.rules"), 240, 12,
-                                            seed=0))
-
     @pytest.mark.parametrize("corpus_name, seed", [("sinitic", 0), ("sinitic", 2),
                                                    ("synth5", 0), ("twelve", 0)])
     def test_weights_bit_equal(self, corpus_name, seed):
         train = {"sinitic": lambda: sinitic_splits()[0], "synth5": synth5_corpus,
-                 "twelve": self.twelve_daughters}[corpus_name]()
+                 "twelve": twelve_daughters}[corpus_name]()
         cfg = B.ContextConfig()
         columns = B.training_columns(B.align_cognates(train), cfg)
         fast, _ = assert_fit_bit_equal(columns, seed, cfg,
@@ -470,7 +589,7 @@ class TestLinearFitLoop:
     @pytest.mark.parametrize("corpus_name", ["sinitic", "twelve"])
     def test_one_and_two_classes_bit_equal(self, corpus_name, labels):
         # one class: every column is "x"; two: a vowel against any other symbol
-        train = {"sinitic": lambda: sinitic_splits()[0], "twelve": self.twelve_daughters}[
+        train = {"sinitic": lambda: sinitic_splits()[0], "twelve": twelve_daughters}[
             corpus_name]()
         cfg = B.ContextConfig()
         columns = [(atoms, "x" if labels == "one" or corpus.token_class(label) == "vowel"

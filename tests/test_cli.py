@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from importlib import resources
@@ -194,12 +195,32 @@ class TestTrainEvaluate:
         sidecar = json.loads((ckpts / "seed0.json").read_text(encoding="utf-8"))
         edit(sidecar)
         (ckpts / "seed0.json").write_text(json.dumps(sidecar), encoding="utf-8")
+        return self._fails_on(workdir, tmp_path, capsys, command, ckpts)
+
+    @staticmethod
+    def _fails_on(workdir, tmp_path, capsys, command, ckpts):
+        """Runs ``command`` (evaluate or probe) on ``ckpts``; it must exit 2.
+        Returns the line."""
         if command == "evaluate":
             args = ["evaluate", "--dataset", workdir / "toy.tsv", "--config",
                     workdir / "tiny.ini", "--seeds", "1@0", "--checkpoints", ckpts]
         else:
             args = ["probe", "--checkpoints", ckpts, "--seeds", "1@0"]
         return run_fails(args + ["--out", tmp_path / command], 2, capsys)
+
+    @pytest.mark.parametrize("command", ["evaluate", "probe"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_checkpoint_exit_2(self, workdir, tmp_path, capsys, value, command):
+        # one payload double of the last tensor, the manifest untouched
+        ckpts = self._copy_run(workdir, f"non_finite_{value}_{command}")
+        path = ckpts / "seed0.ckpt"
+        blob = path.read_bytes()
+        start = blob.index(b"\nend\n") + len(b"\nend\n")
+        _, name, _, offset, count = blob[:start].decode("ascii").splitlines()[-2].split(" ")
+        at = start + int(offset) + 8 * (int(count) // 2)
+        path.write_bytes(blob[:at] + struct.pack("<d", float(value)) + blob[at + 8:])
+        err = self._fails_on(workdir, tmp_path, capsys, command, ckpts)
+        assert str(path) in err and repr(name) in err
 
     @pytest.mark.parametrize("command", ["evaluate", "probe"])
     @pytest.mark.parametrize("case", sorted(LANGUAGES))

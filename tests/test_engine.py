@@ -457,6 +457,64 @@ class TestDeterminism:
         assert a == b and a != c
 
 
+def scalar_shuffle(rng, items):
+    """The Fisher-Yates loop, one ``randint`` at a time."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randint(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def unmix(out):
+    """The SplitMix64 state whose draw is ``out``: its finaliser undone."""
+    mask = (1 << 64) - 1
+
+    def unxorshift(z, k):
+        x = z
+        for _ in range(64 // k + 1):
+            x = z ^ (x >> k)
+        return x
+
+    z = unxorshift(out, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
+    z = unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
+    return unxorshift(z, 30)
+
+
+class TestShuffle:
+    """The numpy draws shuffle as the scalar loop does and leave the
+    stream where it leaves it."""
+
+    GAMMA = 0x9E3779B97F4A7C15
+    SEEDS = list(range(30)) + [1 << 63, (1 << 64) - 1, GAMMA]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 2019, 5000])
+    def test_equals_scalar_loop(self, n):
+        for seed in self.SEEDS:
+            fast, ref = E.DetRng(seed), E.DetRng(seed)
+            a, b = list(range(n)), list(range(n))
+            fast.shuffle(a)
+            scalar_shuffle(ref, b)
+            assert a == b, seed
+            assert fast.next_u64() == ref.next_u64(), seed
+
+    def test_rejected_draw_falls_back(self):
+        # the first draw of a 3-item shuffle is 2**64 - 1, which randint(3)
+        # rejects: 2**64 % 3 == 1
+        mask = (1 << 64) - 1
+        seed = (unmix(mask) - self.GAMMA) & mask
+        assert E.DetRng(seed).next_u64() == mask
+        fast, ref = E.DetRng(seed), E.DetRng(seed)
+        a, b = [0, 1, 2], [0, 1, 2]
+        fast.shuffle(a)
+        scalar_shuffle(ref, b)
+        assert a == b
+        stream = E.DetRng(seed)
+        fourth = [stream.next_u64() for _ in range(4)][3]   # the rejection cost a draw
+        assert fast.next_u64() == ref.next_u64() == fourth
+        assert E.DetRng(seed).permutation(3) == b
+
+
 class TestOpSet:
     @pytest.fixture
     def built(self, monkeypatch):

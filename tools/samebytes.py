@@ -16,6 +16,10 @@ tree's ``src/``, each in a fresh directory:
 - ``synth`` of a monosyllabic corpus from ``sinitic_style.rules`` and
   ``baseline`` on it with all four kinds, the only step that runs the
   majority-constituent baseline;
+- ``synth`` of a 300-set corpus from ``sinitic_style.rules`` and ``baseline``
+  on it with the two classifier kinds, so that the progressive alignment
+  meets many repeated (consensus, word) pairs in one call and the linear
+  classifier's 50 epoch shuffles run over several hundred columns;
 - ``baseline`` on the hand-written IPA table ``IPA_TSV`` three times: with
   the default tokenizer, with ``[corpus] stress = strip``, and with
   ``stress = strip`` plus ``strip_length = true``, so that every branch of
@@ -128,6 +132,10 @@ STEPS = [
                         "--seed", "3", "--out-file", "mono.tsv"]),
     ("baseline-mono", {}, ["baseline", "--dataset", "mono.tsv",
                            "--kinds", "random,majority,pattern,linear", "--out", "mono_base"]),
+    ("synth-300", {}, ["synth", "--rules", "{data}/sinitic_style.rules", "--n-sets", "300",
+                       "--seed", "5", "--out-file", "mono300.tsv"]),
+    ("baseline-300", {}, ["baseline", "--dataset", "mono300.tsv", "--kinds", "pattern,linear",
+                          "--out", "base300"]),
     ("baseline-ipa", {}, ["baseline", "--dataset", "ipa.tsv", "--out", "ipa_base"]),
     ("baseline-ipa-strip", {}, ["baseline", "--dataset", "ipa.tsv", "--config", "strip.ini",
                                 "--out", "ipa_strip"]),
