@@ -18,7 +18,6 @@ from .ops import (
     reshape,
     scale,
     softmax,
-    sum_,
     transpose,
 )
 from .optim import AdamState, adam_step
@@ -40,6 +39,6 @@ __all__ = [
     "cross_entropy", "default_dtype", "dropout", "embedding_lookup", "grad_check",
     "layer_norm", "linear", "load_checkpoint", "masked_fill", "matmul", "mix64",
     "mul", "no_grad", "philox", "relu", "reshape", "run_suite", "save_checkpoint",
-    "scale", "set_default_dtype", "softmax", "stable_hash", "sum_", "transpose",
+    "scale", "set_default_dtype", "softmax", "stable_hash", "transpose",
     "zero_grads",
 ]

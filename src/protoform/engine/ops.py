@@ -199,16 +199,12 @@ def dropout(a: Tensor, p: float, key: tuple) -> Tensor:
     if not 0.0 <= p < 1.0:
         raise EngineError(f"dropout: p={p} outside [0, 1)")
     keep = philox(*key).random(a.data.shape, dtype=np.float32) >= p
-
-    def scaled_mask():
-        mask = keep.astype(a.data.dtype)
-        mask *= 1.0 / (1.0 - p)
-        return mask
+    s = a.data.dtype.type(1.0 / (1.0 - p))
 
     def bwd(g):
-        accumulate(a, g * scaled_mask())
+        accumulate(a, g * np.where(keep, s, 0.0))
 
-    return make_node(a.data * scaled_mask(), "dropout", (a,), bwd)
+    return make_node(a.data * np.where(keep, s, 0.0), "dropout", (a,), bwd)
 
 
 def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
@@ -261,15 +257,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return make_node(loss, "cross_entropy", (logits,), bwd)
 
 
-def sum_(a: Tensor) -> Tensor:
-    """Sum of every entry (a scalar)."""
-
-    def bwd(g):
-        accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-
-    return make_node(np.sum(a.data), "sum", (a,), bwd)
-
-
 _DISPATCH = {
     "matmul": matmul,
     "linear": linear,
@@ -285,7 +272,6 @@ _DISPATCH = {
     "dropout": dropout,
     "masked_fill": masked_fill,
     "cross_entropy": cross_entropy,
-    "sum": sum_,
 }
 
 OP_KINDS = tuple(_DISPATCH)

@@ -553,9 +553,11 @@ class TestOneParsePerRun:
 class TestGradcheckCommand:
     def test_passes_and_prints_per_op(self, capsys):
         assert cli.main(["gradcheck"]) == 0
-        out = capsys.readouterr().out
-        assert "matmul" in out and "cross_entropy" in out
-        assert "FAIL" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == list(E.OP_KINDS)
+        assert all(line.endswith("  ok") for line in lines[:-1])
+        assert lines[-1].startswith("overall max rel err ")
+        assert lines[-1].endswith(f" over {len(E.OP_KINDS)} ops, 3 seeds")
 
     def test_float32_default_prints_the_float64_report(self, capsys, monkeypatch):
         # the check builds its tensors in float64 whatever the engine default

@@ -25,6 +25,17 @@ def naive_matmul(a, b):
     return out
 
 
+def total(y, weight=None):
+    """``sum(y * weight)``, with ``weight`` ones by default, built from model
+    ops: ``reshape`` to (1, n), ``linear`` with (n, 1) weights and a zero
+    bias, ``reshape`` to ().  Its backward hands ``y`` exactly ``weight``."""
+    n, dtype = y.data.size, y.data.dtype
+    w = np.ones((n, 1)) if weight is None else weight.reshape(n, 1)
+    row = E.linear(E.reshape(y, (1, n)), E.Tensor(w, dtype=dtype),
+                   E.Tensor(np.zeros(1), dtype=dtype))
+    return E.reshape(row, ())
+
+
 class TestForward:
     def test_matmul_against_triple_loop(self):
         rng = E.philox(7)
@@ -77,29 +88,31 @@ class TestForward:
         x = E.Tensor(np.arange(6.0))
         assert E.dropout(x, 0.0, key=(1, 2, 3)) is x
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
     def test_dropout_node_keeps_no_float_mask(self):
         # the closure holds the boolean keep-mask, not a float copy of it;
-        # forward and backward still scale by exactly the float mask
-        x = E.Tensor(E.philox(3).uniform(-1, 1, (6, 5)), requires_grad=True)
+        # forward and backward match the reference astype-and-scale mask bit
+        # for bit, non-finite entries and -0.0 included
+        special = [np.inf, -np.inf, np.nan, -0.0]
         p, key = 0.3, (4, 5, 6)
-        out = E.dropout(x, p, key=key)
+        for dtype in (np.float64, np.float32):
+            xs = E.philox(3).uniform(-1, 1, (6, 5))
+            xs.reshape(-1)[:28] = special * 7   # each one both kept and dropped
+            x = E.Tensor(xs, requires_grad=True, dtype=dtype)
+            out = E.dropout(x, p, key=key)
 
-        def closure_arrays(fn):
-            for cell in fn.__closure__ or ():
-                value = cell.cell_contents
-                if isinstance(value, np.ndarray):
-                    yield value
-                elif callable(value) and hasattr(value, "__closure__"):
-                    yield from closure_arrays(value)
-
-        held = list(closure_arrays(out._backward))
-        assert held and not any(np.issubdtype(a.dtype, np.floating) for a in held)
-        mask = (E.philox(*key).random((6, 5), dtype=np.float32) >= p).astype(np.float64)
-        mask *= 1.0 / (1.0 - p)
-        np.testing.assert_array_equal(out.data, x.data * mask)
-        g = E.philox(8).uniform(-1, 1, (6, 5))
-        out._backward(g)
-        np.testing.assert_array_equal(x.grad, g * mask)
+            held = [c.cell_contents for c in out._backward.__closure__
+                    if isinstance(c.cell_contents, np.ndarray)]
+            assert held and not any(np.issubdtype(a.dtype, np.floating) for a in held)
+            mask = (E.philox(*key).random((6, 5), dtype=np.float32) >= p).astype(dtype)
+            mask *= 1.0 / (1.0 - p)
+            assert out.data.dtype == dtype
+            np.testing.assert_array_equal(bits(out.data), bits(x.data * mask))
+            g = E.philox(8).uniform(-1, 1, (6, 5)).astype(dtype)
+            g.reshape(-1)[:28] = special * 7
+            out._backward(g)
+            assert x.grad.dtype == dtype
+            np.testing.assert_array_equal(bits(x.grad), bits(g * mask))
 
     def test_dropout_mask_is_reproducible(self):
         x = E.Tensor(np.ones((4, 4)))
@@ -111,20 +124,15 @@ class TestForward:
 
 
 class TestBackward:
-    def test_sum_gradient_is_ones(self):
-        x = E.Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-        E.backward(E.sum_(x))
-        np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
-
     def test_half_square_gradient_is_x(self):
         x = E.Tensor([1.5, -2.0, 0.25], requires_grad=True)
-        loss = E.sum_(E.scale(E.mul(x, x), 0.5))
+        loss = total(E.scale(E.mul(x, x), 0.5))
         E.backward(loss)
         np.testing.assert_allclose(x.grad, x.data)
 
     def test_fanout_accumulates_exactly(self):
         x = E.Tensor([3.0], requires_grad=True)
-        E.backward(E.sum_(E.add(x, x)))
+        E.backward(total(E.add(x, x)))
         assert x.grad[0] == 2.0
 
     def test_non_scalar_loss_rejected(self):
@@ -135,10 +143,10 @@ class TestBackward:
     def test_second_backward_raises(self):
         x = E.Tensor([1.0, -2.0], requires_grad=True)
         h = E.mul(x, x)
-        loss = E.sum_(h)
+        loss = total(h)
         E.backward(loss)
         # the same loss, and a new loss over a node the first walk released
-        for again in (loss, E.sum_(h)):
+        for again in (loss, total(h)):
             with pytest.raises(E.EngineError,
                                match="graph already released by an earlier backward"):
                 E.backward(again)
@@ -155,7 +163,7 @@ class TestBackward:
             h = E.relu(E.matmul(x, w))
             d = E.dropout(h, 0.5, key=key)
             interior.extend([weakref.ref(h.data), weakref.ref(d.data)])
-            return E.sum_(d)
+            return total(d)
 
         loss = build()
         gc.collect()
@@ -187,7 +195,7 @@ class TestBackward:
         def loss_value():
             h = E.relu(E.linear(x, w, b))
             y = E.softmax(E.layer_norm(h, gain, bias))
-            return E.sum_(E.mul(y, y))
+            return total(E.mul(y, y))
 
         E.backward(loss_value())
         for t in (x, w, b, gain, bias):
@@ -216,10 +224,10 @@ class TestGradCheckSuite:
         rng = E.philox(21)
         a = E.Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
         b = E.Tensor(rng.uniform(-1, 1, (2, 4, 2)), requires_grad=True)
-        w = E.Tensor(rng.uniform(0.5, 1.5, (2, 3, 2)))
+        w = rng.uniform(0.5, 1.5, (2, 3, 2))
 
         def loss():
-            return E.sum_(E.mul(E.matmul(a, b), w))
+            return total(E.matmul(a, b), w)
 
         E.backward(loss())
         for t in (a, b):
@@ -295,7 +303,7 @@ class TestFusedLayersKeepBits:
         y = norm(E.add(x, h), p["g1"], p["c1"])
         f = linear(E.relu(linear(y, p["w1"], p["b1"])), p["w2"], p["b2"])
         y = norm(E.add(y, f), p["g2"], p["c2"])
-        return y, E.sum_(E.mul(y, weight))
+        return y, total(y, weight)
 
     def run(self, layers, shape, dtype):
         rng = E.philox(0xB175, *shape)
@@ -307,7 +315,7 @@ class TestFusedLayersKeepBits:
             shapes[name] = (d,)
         leaves = {name: E.Tensor(rng.uniform(-1, 1, s), requires_grad=True, dtype=dtype)
                   for name, s in sorted(shapes.items())}
-        weight = E.Tensor(rng.uniform(0.5, 1.5, shape + (d,)), dtype=dtype)
+        weight = rng.uniform(0.5, 1.5, shape + (d,)).astype(dtype)
         y, loss = self.block(layers, leaves, weight)
         E.backward(loss)
         return y.data, loss.data, {name: t.grad for name, t in leaves.items()}
@@ -515,21 +523,28 @@ class TestShuffle:
         assert E.DetRng(seed).permutation(3) == b
 
 
+def record_nodes(monkeypatch) -> Counter:
+    """Counts, by op kind, every node the engine's ops build from now on."""
+    from protoform.engine import ops
+
+    built = Counter()
+    real = ops.make_node
+
+    def recording(data, op, parents, backward):
+        built[op] += 1
+        return real(data, op, parents, backward)
+
+    monkeypatch.setattr(ops, "make_node", recording)
+    return built
+
+
 class TestOpSet:
     @pytest.fixture
     def built(self, monkeypatch):
         """Op kind of every node one tiny-config training ``loss_batch`` builds."""
         from protoform import corpus as C
-        from protoform.engine import ops
 
-        built = Counter()
-        real = ops.make_node
-
-        def recording(data, op, parents, backward):
-            built[op] += 1
-            return real(data, op, parents, backward)
-
-        monkeypatch.setattr(ops, "make_node", recording)
+        built = record_nodes(monkeypatch)
         ds = C.parse_dataset(
             "id\tA\tB\tP\nx\tpata\tbat\tpata\ny\tkunu\tgun\tkuna\n",
             C.ParseOptions(tokenizer=C.TokenizerOptions(mode="orthographic")))
@@ -541,11 +556,17 @@ class TestOpSet:
         model.loss_batch(batch, T._DropCtx(cfg.seed, 0, cfg.dropout_p))
         return built
 
-    def test_training_step_builds_every_op_kind_but_the_harness_ops(self, built):
-        # ``sum`` and ``mul`` stay for the grad-check harness, which weights an
-        # op's output with ``mul`` and reduces it with ``sum``; any other kind
-        # the model never builds is dead code
-        assert set(built) == set(E.OP_KINDS) - {"sum", "mul"}
+    def test_training_step_builds_every_op_kind_but_mul(self, built):
+        # ``mul`` stays only because the benchmark's tracer wraps ``E.mul`` by
+        # name, until ROADMAP item 1; any other kind the model never builds
+        # is dead code
+        assert set(built) == set(E.OP_KINDS) - {"mul"}
+
+    @pytest.mark.parametrize("kind", E.OP_KINDS)
+    def test_grad_check_builds_only_the_op_under_test(self, kind, monkeypatch):
+        built = record_nodes(monkeypatch)
+        E.grad_check(kind, 0)
+        assert set(built) == {kind}
 
     def test_node_count_of_one_training_step(self, built):
         # one encoder and one decoder layer: 17 affine layers and 5 layer

@@ -2,7 +2,8 @@
 
 The comparison runs the full command sequence under both trees; with the
 working tree at HEAD it must report no difference, and with uncommitted
-changes that keep every byte it must too.
+changes that keep every byte it must too.  A differing stdout is shown as
+a unified diff, checked here on planted outputs.
 """
 
 import importlib.util
@@ -58,3 +59,27 @@ def test_against_head_reports_same_bytes(capsys):
     out = capsys.readouterr().out
     assert out.startswith("same bytes:"), out
     assert worktrees() == before   # the temporary worktree is gone
+
+
+
+MINE = {"toy.tsv": b"same", "<stdout of gradcheck>": b"matmul ok\n"}
+
+
+@needs_git
+@pytest.mark.parametrize("theirs, first, diff_lines", [
+    (dict(MINE, **{"<stdout of gradcheck>": b"matmul ok\nsum ok\n"}), "<stdout of gradcheck>",
+     ["--- HEAD: <stdout of gradcheck>", "+++ this tree: <stdout of gradcheck>",
+      "@@ -1,2 +1 @@", " matmul ok", "-sum ok"]),
+    # a stdout only the other tree has diffs against nothing
+    (dict(MINE, **{"<stdout of probe>": b"tree ok\n"}), "<stdout of probe>",
+     ["--- HEAD: <stdout of probe>", "+++ this tree: <stdout of probe>",
+      "@@ -1 +0,0 @@", "-tree ok"]),
+    (dict(MINE, **{"toy.tsv": b"changed"}), "toy.tsv", []),
+])
+def test_a_differing_stdout_prints_a_unified_diff(capsys, monkeypatch, theirs, first, diff_lines):
+    monkeypatch.setattr(samebytes, "run_steps",
+                        lambda tree, workdir: MINE if tree == samebytes.ROOT else theirs)
+    assert samebytes.main(["--against", "HEAD"]) == 1
+    head, *rest = capsys.readouterr().out.splitlines()
+    assert head.startswith(f"DIFFERENT: {first} (this tree vs HEAD at ")
+    assert rest == diff_lines

@@ -29,13 +29,15 @@ tree's ``src/``, each in a fresh directory:
 
 Every file written and every command's stdout are compared byte for byte.
 Exit status: 0 when all are identical; 1 on a difference, naming the first
-differing file in the order the commands wrote them; 2 when REV cannot be
-checked out or a command fails.
+differing file in the order the commands wrote them, followed by a unified
+diff from REV's output to this tree's when that file is a command's stdout;
+2 when REV cannot be checked out or a command fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import os
 import shutil
 import subprocess
@@ -197,6 +199,15 @@ def first_difference(mine: dict, theirs: dict) -> str | None:
     return None
 
 
+def stdout_diff(key: str, mine: dict, theirs: dict, rev: str) -> str:
+    """Unified diff of the stdout ``key`` from ``rev``'s run to this tree's."""
+    def lines(out):
+        return (out.get(key) or b"").decode(errors="replace").splitlines()
+
+    return "\n".join(difflib.unified_diff(lines(theirs), lines(mine), f"{rev}: {key}",
+                                          f"this tree: {key}", lineterm=""))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="git revision to compare with")
@@ -229,6 +240,8 @@ def main(argv=None) -> int:
     diff = first_difference(mine, theirs)
     if diff is not None:
         print(f"DIFFERENT: {diff} (this tree vs {args.against} at {commit[:12]})")
+        if diff.startswith("<stdout of "):
+            print(stdout_diff(diff, mine, theirs, args.against))
         return 1
     print(f"same bytes: {len(mine)} artifacts of {len(STEPS)} commands match "
           f"{args.against} at {commit[:12]}")
