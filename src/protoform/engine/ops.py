@@ -7,6 +7,8 @@ Tensors; gradients flow only through real-valued inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tensor
@@ -54,7 +56,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             xw = np.matmul(x.data, w.data)
         else:
             xw = np.matmul(x.data.reshape(-1, k), w.data).reshape(*x.data.shape[:-1], n)
-        out = xw + b.data
+        xw += b.data
     except ValueError:
         raise ShapeError(f"linear: {x.data.shape} x {w.data.shape} + {b.data.shape} do not conform")
 
@@ -65,7 +67,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         accumulate(w, np.matmul(x.data.reshape(-1, k).T, g2))
         accumulate(b, _unbroadcast(g, b.data.shape), own=g.shape != b.data.shape)
 
-    return make_node(out, "linear", (x, w, b), bwd)
+    return make_node(xw, "linear", (x, w, b), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -152,27 +154,41 @@ def softmax(a: Tensor) -> Tensor:
     y /= y.sum(-1, keepdims=True)
 
     def bwd(g):
-        dot = np.sum(g * y, axis=-1, keepdims=True)
-        accumulate(a, y * (g - dot))
+        t = g * y
+        dot = np.sum(t, axis=-1, keepdims=True)
+        np.subtract(g, dot, out=t)
+        t *= y
+        accumulate(a, t)
 
     return make_node(y, "softmax", (a,), bwd)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalization over the last axis, then the affine ``xhat * gain + bias``."""
+    """Normalization over the last axis, then the affine ``xhat * gain + bias``.
+
+    ``np.mean(d * d)`` on ``d = a - mean`` is ``np.var``'s own arithmetic,
+    so the variance has its bits without a second subtraction."""
     mu = np.mean(a.data, axis=-1, keepdims=True)
-    var = np.var(a.data, axis=-1, keepdims=True)
+    xhat = a.data - mu
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (a.data - mu) * inv
-    out = xhat * gain.data + bias.data
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def bwd(g):
         accumulate(bias, _unbroadcast(g, bias.data.shape), own=g.shape != bias.data.shape)
-        accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
-        g = g * gain.data
-        gm = np.mean(g, axis=-1, keepdims=True)
-        gx = np.mean(g * xhat, axis=-1, keepdims=True)
-        accumulate(a, inv * (g - gm - xhat * gx))
+        ga = g * gain.data
+        gm = np.mean(ga, axis=-1, keepdims=True)
+        t = ga * xhat
+        gx = np.mean(t, axis=-1, keepdims=True)
+        np.multiply(xhat, gx, out=t)
+        ga -= gm
+        ga -= t
+        ga *= inv
+        accumulate(a, ga)
+        # last, since a gain shaped like g adopts t
+        accumulate(gain, _unbroadcast(np.multiply(g, xhat, out=t), gain.data.shape))
 
     return make_node(out, "layer_norm", (a, gain, bias), bwd)
 
@@ -193,18 +209,34 @@ def dropout(a: Tensor, p: float, key: tuple) -> Tensor:
     step); the mask is a pure function of it, so replaying a step
     reproduces the mask exactly.  ``p == 0`` (eval mode) is the identity
     and returns ``a`` itself.  The node keeps the boolean mask, not a float copy.
+
+    The mask is ``philox(*key).random(shape, dtype=np.float32) >= p`` read
+    off the raw words behind that draw: float i is ``(w_i >> 8) / 2**24`` for
+    32-bit word i (the low half of each 64-bit output first), so it reaches
+    ``float32(p)`` exactly when ``w_i >= k << 8``, ``k = ceil(float32(p) * 2**24)``.
+    ``(a * keep) * s`` has the bits of ``a * where(keep, s, 0)``, even where
+    ``a * s`` overflows.
     """
     if p == 0.0:
         return a
     if not 0.0 <= p < 1.0:
         raise EngineError(f"dropout: p={p} outside [0, 1)")
-    keep = philox(*key).random(a.data.shape, dtype=np.float32) >= p
+    n = a.data.size
+    raw = philox(*key).bit_generator.random_raw((n + 1) // 2)
+    words = raw.astype("<u8", copy=False).view("<u4")[:n]
+    # where p rounds to 1 in float32, k << 8 is 2**32 and no word reaches it
+    k = math.ceil(float(np.float32(p)) * 2**24)
+    keep = (words >= k << 8).reshape(a.data.shape)
     s = a.data.dtype.type(1.0 / (1.0 - p))
 
     def bwd(g):
-        accumulate(a, g * np.where(keep, s, 0.0))
+        ga = g * keep
+        ga *= s
+        accumulate(a, ga)
 
-    return make_node(a.data * np.where(keep, s, 0.0), "dropout", (a,), bwd)
+    out = a.data * keep
+    out *= s
+    return make_node(out, "dropout", (a,), bwd)
 
 
 def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:

@@ -130,6 +130,7 @@ class FeatureTable:
         self._base = base
         self._mods = mods
         self._cache: dict = {}
+        self._costs: dict = {}
         self._findex = {f: i for i, f in enumerate(self.features)}
 
     @classmethod
@@ -171,6 +172,17 @@ class FeatureTable:
         self._cache[token] = vec
         return vec
 
+    def sub_cost(self, x: str, y: str) -> float:
+        """Fraction of features on which tokens ``x`` and ``y`` differ, 0 for
+        one token; memoised per ordered pair."""
+        if x == y:
+            return 0.0
+        cost = self._costs.get((x, y))
+        if cost is None:
+            cost = float(np.count_nonzero(self.lookup(x) != self.lookup(y))) / self.F
+            self._costs[x, y] = cost
+        return cost
+
     def _resolve(self, token: str) -> np.ndarray:
         if token in self._base:
             return self._base[token]
@@ -197,15 +209,9 @@ class FeatureTable:
 def feature_error_rate(pred: Word, gold: Word, ft: FeatureTable) -> float:
     """Weighted edit distance where substituting two phonemes costs the
     fraction of differing features; indels cost 1; normalized by gold length."""
-
-    def sub(x, y):
-        if x == y:
-            return 0.0
-        return float(np.count_nonzero(ft.lookup(x) != ft.lookup(y))) / ft.F
-
     if not gold:
         raise MetricsError("feature_error_rate: empty gold word")
-    return _cost_table(pred, gold, sub)[len(pred)][len(gold)] / len(gold)
+    return _cost_table(pred, gold, ft.sub_cost)[len(pred)][len(gold)] / len(gold)
 
 
 def _occurrence_structure(word: Word):

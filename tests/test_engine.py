@@ -89,27 +89,32 @@ class TestForward:
         assert E.dropout(x, 0.0, key=(1, 2, 3)) is x
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
     def test_dropout_node_keeps_no_float_mask(self):
         # the closure holds the boolean keep-mask, not a float copy of it;
         # forward and backward match the reference astype-and-scale mask bit
-        # for bit, non-finite entries and -0.0 included
-        special = [np.inf, -np.inf, np.nan, -0.0]
+        # for bit, non-finite entries, -0.0, subnormals and entries whose
+        # product with the scale overflows included
         p, key = 0.3, (4, 5, 6)
         for dtype in (np.float64, np.float32):
-            xs = E.philox(3).uniform(-1, 1, (6, 5))
-            xs.reshape(-1)[:28] = special * 7   # each one both kept and dropped
+            fi = np.finfo(dtype)
+            special = [np.inf, -np.inf, np.nan, -0.0, fi.max, -fi.max, fi.smallest_subnormal]
+            xs = E.philox(3).uniform(-1, 1, (6, 10))
+            xs.reshape(-1)[:56] = special * 8
             x = E.Tensor(xs, requires_grad=True, dtype=dtype)
             out = E.dropout(x, p, key=key)
 
             held = [c.cell_contents for c in out._backward.__closure__
                     if isinstance(c.cell_contents, np.ndarray)]
             assert held and not any(np.issubdtype(a.dtype, np.floating) for a in held)
-            mask = (E.philox(*key).random((6, 5), dtype=np.float32) >= p).astype(dtype)
+            mask = (E.philox(*key).random((6, 10), dtype=np.float32) >= p).astype(dtype)
+            for i in range(len(special)):   # each one both kept and dropped
+                assert 0 < mask.reshape(-1)[i:56:len(special)].sum() < 8
             mask *= 1.0 / (1.0 - p)
             assert out.data.dtype == dtype
             np.testing.assert_array_equal(bits(out.data), bits(x.data * mask))
-            g = E.philox(8).uniform(-1, 1, (6, 5)).astype(dtype)
-            g.reshape(-1)[:28] = special * 7
+            g = E.philox(8).uniform(-1, 1, (6, 10)).astype(dtype)
+            g.reshape(-1)[:56] = special * 8
             out._backward(g)
             assert x.grad.dtype == dtype
             np.testing.assert_array_equal(bits(x.grad), bits(g * mask))
@@ -121,6 +126,121 @@ class TestForward:
         c = E.dropout(x, 0.5, key=(9, 1, 1)).data
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestDropoutWords:
+    """The mask is read off Philox's raw 32-bit words, and it is the mask of
+    the float draw ``philox(*key).random(shape, dtype=np.float32) >= p``:
+    odd sizes (the last 64-bit output half used), p whose float32 rounding
+    lies above or below it, and p that rounds to 1, which keeps nothing."""
+
+    SHAPES = [(0,), (1,), (2,), (3,), (7,), (3, 5, 7), (1, 9, 1), (5, 3, 3, 1), (32, 8, 60, 60)]
+    ABOVE = 0.25 - 2.0**-30   # float32 rounds it up to 0.25
+    BELOW = 0.25 + 2.0**-30   # and this one down
+    PS = [1e-9, 0.1, 0.1708861, 0.202, ABOVE, BELOW, 1 - 1e-9]
+
+    def test_rounding_cases_straddle_their_float32(self):
+        assert float(np.float32(self.ABOVE)) > self.ABOVE
+        assert float(np.float32(self.BELOW)) < self.BELOW
+        assert float(np.float32(1 - 1e-9)) == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("p", PS, ids=["1e-9", "0.1", "0.1708861", "0.202", "above",
+                                           "below", "1-1e-9"])
+    def test_mask_is_the_float_draw_mask(self, p, dtype):
+        s = dtype(1.0 / (1.0 - p))
+        for shape in self.SHAPES:
+            ones = E.Tensor(np.ones(shape), dtype=dtype)
+            for seed in range(30):
+                key = (seed, 7, 11)
+                want = E.philox(*key).random(shape, dtype=np.float32) >= p
+                out = E.dropout(ones, p, key=key).data
+                assert out.dtype == dtype and out.shape == shape
+                np.testing.assert_array_equal(out != 0, want, err_msg=f"{shape} seed {seed}")
+                assert (out[want] == s).all()
+        if p == 1 - 1e-9:
+            assert not out.any()
+
+
+    def test_a_draw_equal_to_p_is_kept(self):
+        # p is the draw itself, so ``random >= p`` holds with equality, and
+        # the next float32 above it drops it; 3,000 keys include about a
+        # dozen whose word has a zero low byte, where ``w >= k << 8`` is tight
+        one = E.Tensor(np.ones(1))
+        for seed in range(3000):
+            key = (seed, 7, 11)
+            first = E.philox(*key).random(1, dtype=np.float32)[0]
+            if first == 0:
+                continue
+            above = np.nextafter(first, np.float32(1))
+            assert E.dropout(one, float(first), key=key).data[0] != 0, seed
+            assert E.dropout(one, float(above), key=key).data[0] == 0, seed
+
+
+def _uniform(shape, lo=-1.0):
+    return lambda rng: rng.uniform(lo, 1, shape)
+
+
+X = (2, 5, 6)
+# op name: (how to draw each input, the op over the input tensors)
+ALIAS_CASES = {
+    "dropout": ([_uniform(X)], lambda t: E.dropout(t[0], 0.3, key=(1, 2, 3))),
+    "linear": ([_uniform(X), _uniform((6, 4)), _uniform((4,))], lambda t: E.linear(*t)),
+    "linear-bias-like-out": ([_uniform(X), _uniform((6, 4)), _uniform((2, 5, 4))],
+                             lambda t: E.linear(*t)),
+    "layer_norm": ([_uniform(X), _uniform((6,), 0.5), _uniform((6,))],
+                   lambda t: E.layer_norm(*t)),
+    # _unbroadcast hands back its argument itself for a gain or bias shaped like x
+    "layer_norm-affine-like-x": ([_uniform(X), _uniform(X, 0.5), _uniform(X)],
+                                 lambda t: E.layer_norm(*t)),
+    "softmax": ([_uniform(X)], lambda t: E.softmax(t[0])),
+}
+
+
+class TestNoAliasing:
+    """Ops that write into their own temporaries leave alone what they were
+    given: every input's data, the upstream gradient and the op's output
+    keep their bytes through forward and backward, and no array handed to
+    ``accumulate`` (which may adopt it as a ``.grad``) is written after."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    @pytest.mark.parametrize("name", sorted(ALIAS_CASES))
+    def test_inputs_gradient_and_handed_arrays_keep_their_bytes(self, name, grad, dtype,
+                                                                monkeypatch):
+        from protoform.engine import ops
+
+        makers, op = ALIAS_CASES[name]
+        rng = E.philox(0xA11A5)
+        leaves = [E.Tensor(m(rng), requires_grad=True, dtype=dtype) for m in makers]
+        before = [t.data.copy() for t in leaves]
+        handed = []
+
+        def recording(t, g, own=True):
+            handed.append((g, g.copy()))
+            accumulate(t, g, own)
+
+        monkeypatch.setattr(ops, "accumulate", recording)
+        if grad:
+            out = op(leaves)
+        else:
+            with E.no_grad():
+                out = op(leaves)
+        out_bytes = out.data.copy()
+        if grad:
+            g = rng.uniform(-1, 1, out.data.shape).astype(dtype)
+            g_bytes = g.copy()
+            out._backward(g)
+            np.testing.assert_array_equal(bits(g), bits(g_bytes))
+            assert len(handed) == len(leaves)
+            assert all(t.grad is not None for t in leaves)
+        else:
+            assert out._backward is None and not handed
+        np.testing.assert_array_equal(bits(out.data), bits(out_bytes))
+        for t, data in zip(leaves, before):
+            np.testing.assert_array_equal(bits(t.data), bits(data))
+        for arr, copy in handed:
+            np.testing.assert_array_equal(bits(arr), bits(copy))
 
 
 class TestBackward:

@@ -11,7 +11,7 @@ from protoform import corpus as C
 from protoform import synth as S
 from protoform.engine.rng import DetRng
 from protoform.metrics import (
-    GAP, FeatureTable, MetricsError, bcubed_f, edit_distance, error_breakdown,
+    GAP, FeatureTable, MetricsError, _cost_table, bcubed_f, edit_distance, error_breakdown,
     evaluate, feature_error_rate, nw_align,
 )
 
@@ -105,6 +105,27 @@ class TestFeatureErrorRate:
     def test_tone_contours_use_zero_vector(self, ft):
         # substituting one tone contour for another is free under FER
         assert feature_error_rate(("m", "a", "˥˩"), ("m", "a", "˧"), ft) == 0.0
+
+    def test_memoised_cost_is_the_unmemoised_one(self):
+        # the per-cell cost as feature_error_rate computed it before the memo
+        ft = FeatureTable.bundled()
+
+        def sub(x, y):
+            if x == y:
+                return 0.0
+            return float(np.count_nonzero(ft.lookup(x) != ft.lookup(y))) / ft.F
+
+        tokens = ("p", "b", "tʰ", "kʷ", "t͡ʃ", "a", "ã", "iː", "u", "˥˩", "˧")
+        for _ in range(2):   # computed, then read from the memo
+            for x in tokens:
+                for y in tokens:
+                    assert ft.sub_cost(x, y) == sub(x, y), (x, y)
+        rng = DetRng(78)
+        for _ in range(200):
+            pred = tuple(tokens[rng.randint(len(tokens))] for _ in range(rng.randint(6) + 1))
+            gold = tuple(tokens[rng.randint(len(tokens))] for _ in range(rng.randint(6) + 1))
+            want = _cost_table(pred, gold, sub)[len(pred)][len(gold)] / len(gold)
+            assert feature_error_rate(pred, gold, ft) == want
 
     def test_bounded_by_worst_case(self, ft):
         rng = DetRng(77)

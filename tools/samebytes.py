@@ -10,6 +10,8 @@ tree's ``src/``, each in a fresh directory:
   one-seed ``train``, ``evaluate`` with three baselines);
 - a float32 two-seed ``train`` with two worker processes, and the same
   ``train`` serially;
+- a float64 ``train`` with an odd batch size, head count and feed-forward
+  width, so that dropout draws masks of odd sizes;
 - an orthographic ``train`` and ``evaluate`` with three baselines;
 - ``probe --gold-tree`` on those two checkpoints;
 - ``baseline``;
@@ -63,6 +65,23 @@ weight_decay = 0
 batch_size = 8
 """
 
+# Odd batch size, head count and feed-forward width, so that dropout
+# draws masks of odd sizes, whose last raw 64-bit Philox output is half used.
+ODD_INI = """\
+[transformer]
+d_model = 18
+n_heads = 3
+n_encoder_layers = 1
+n_decoder_layers = 1
+d_feedforward = 33
+dropout_p = 0.1
+lr = 0.002
+warmup_epochs = 1
+total_epochs = 2
+weight_decay = 0
+batch_size = 3
+"""
+
 # A phylogeny over the five daughters of synth5.rules.
 GOLD_TREE = "((Alba,Bruna),(Cara,(Dola,Esta)));\n"
 
@@ -98,6 +117,7 @@ IPA_TSV = (
 # The files each tree's working directory starts with.
 INPUTS = {
     "tiny.ini": TINY_INI,
+    "odd.ini": ODD_INI,
     "gold.nwk": GOLD_TREE,
     "ipa.tsv": IPA_TSV,
     "strip.ini": "[corpus]\nstress = strip\n",
@@ -121,6 +141,8 @@ STEPS = [
     ("train-float32-serial", {"PROTOFORM_DTYPE": "float32"},
      ["train", "--dataset", "toy.tsv", "--config", "tiny.ini", "--seeds", "2@0",
       "--out", "run32serial"]),
+    ("train-odd", {}, ["train", "--dataset", "toy.tsv", "--config", "odd.ini",
+                       "--seeds", "1@0", "--out", "odd"]),
     ("train-orthographic", {}, ["train", "--dataset", "toy.tsv", "--config", "tiny.ini",
                                 "--orthographic", "--seeds", "1@0", "--out", "orth"]),
     ("evaluate-orthographic", {}, ["evaluate", "--dataset", "toy.tsv", "--config", "tiny.ini",
