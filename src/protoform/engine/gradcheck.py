@@ -73,7 +73,7 @@ def grad_check(kind: str, seed: int = 0) -> float:
     out = _DISPATCH[kind](*inputs, **attrs)
     shape = out.data.shape
     weight = np.ones(shape) if out.data.size == 1 else philox(4, seed).uniform(0.5, 1.5, shape)
-    out._backward(weight)
+    out.node.backward(weight)
     analytic = [x.grad if x.grad is not None else np.zeros_like(x.data)
                 for x in inputs]
 

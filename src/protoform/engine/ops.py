@@ -3,6 +3,10 @@
 Shapes follow numpy broadcasting where noted.  Integer arguments
 (embedding ids, class targets, boolean masks) are plain ndarrays, not
 Tensors; gradients flow only through real-valued inputs.
+
+Each backward closure captures its inputs' nodes and only the arrays or
+shapes it reads, never a ``Tensor``: an input's array that no backward
+reads dies with the forward code's last reference to it.
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = np.matmul(a.data, b.data)
     except ValueError:
         raise ShapeError(f"matmul: shapes {a.data.shape} x {b.data.shape} do not conform")
+    na, nb, ad, bd = a.node, b.node, a.data, b.data
 
     def bwd(g):
-        accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+        accumulate(na, _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape))
+        accumulate(nb, _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape))
 
     return make_node(out, "matmul", (a, b), bwd)
 
@@ -59,13 +64,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         xw += b.data
     except ValueError:
         raise ShapeError(f"linear: {x.data.shape} x {w.data.shape} + {b.data.shape} do not conform")
+    nx, nw, nb, xd, wd, b_shape = x.node, w.node, b.node, x.data, w.data, b.data.shape
 
     def bwd(g):
         # collapse the leading axes into one GEMM per side
         g2 = g.reshape(-1, n)
-        accumulate(x, np.matmul(g2, w.data.T).reshape(x.data.shape))
-        accumulate(w, np.matmul(x.data.reshape(-1, k).T, g2))
-        accumulate(b, _unbroadcast(g, b.data.shape), own=g.shape != b.data.shape)
+        accumulate(nx, np.matmul(g2, wd.T).reshape(xd.shape))
+        accumulate(nw, np.matmul(xd.reshape(-1, k).T, g2))
+        accumulate(nb, _unbroadcast(g, b_shape), own=g.shape != b_shape)
 
     return make_node(xw, "linear", (x, w, b), bwd)
 
@@ -75,12 +81,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: shapes {a.data.shape} + {b.data.shape} do not broadcast")
+    na, nb, a_shape, b_shape = a.node, b.node, a.data.shape, b.data.shape
 
     def bwd(g):
-        ga = _unbroadcast(g, a.data.shape)
-        accumulate(a, ga, own=ga is not g)
-        gb = _unbroadcast(g, b.data.shape)
-        accumulate(b, gb, own=gb is not g)
+        ga = _unbroadcast(g, a_shape)
+        accumulate(na, ga, own=ga is not g)
+        gb = _unbroadcast(g, b_shape)
+        accumulate(nb, gb, own=gb is not g)
 
     return make_node(out, "add", (a, b), bwd)
 
@@ -90,19 +97,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         out = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: shapes {a.data.shape} * {b.data.shape} do not broadcast")
+    na, nb, ad, bd = a.node, b.node, a.data, b.data
 
     def bwd(g):
-        accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        accumulate(na, _unbroadcast(g * bd, ad.shape))
+        accumulate(nb, _unbroadcast(g * ad, bd.shape))
 
     return make_node(out, "mul", (a, b), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
+    na = a.node
 
     def bwd(g):
-        accumulate(a, g * s)
+        accumulate(na, g * s)
 
     return make_node(a.data * s, "scale", (a,), bwd)
 
@@ -112,9 +121,10 @@ def reshape(a: Tensor, shape) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError:
         raise ShapeError(f"reshape: {a.data.shape} -> {tuple(shape)}")
+    na, a_shape = a.node, a.data.shape
 
     def bwd(g):
-        accumulate(a, g.reshape(a.data.shape))
+        accumulate(na, g.reshape(a_shape))
 
     return make_node(out, "reshape", (a,), bwd)
 
@@ -124,9 +134,10 @@ def transpose(a: Tensor, axes) -> Tensor:
     if sorted(axes) != list(range(a.data.ndim)):
         raise ShapeError(f"transpose: axes {axes} invalid for shape {a.data.shape}")
     inv = tuple(np.argsort(axes))
+    na = a.node
 
     def bwd(g):
-        accumulate(a, np.ascontiguousarray(g.transpose(inv)))
+        accumulate(na, np.ascontiguousarray(g.transpose(inv)))
 
     return make_node(np.ascontiguousarray(a.data.transpose(axes)), "transpose", (a,), bwd)
 
@@ -138,11 +149,12 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
             f"embedding_lookup: id out of range for table with {table.data.shape[0]} rows"
         )
     out = table.data[ids]
+    nt, t_shape, t_dtype = table.node, table.data.shape, table.data.dtype
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        accumulate(table, gt)
+        gt = np.zeros(t_shape, t_dtype)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, t_shape[1]))
+        accumulate(nt, gt)
 
     return make_node(out, "embedding_lookup", (table,), bwd)
 
@@ -152,13 +164,14 @@ def softmax(a: Tensor) -> Tensor:
     y = a.data - np.max(a.data, axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(-1, keepdims=True)
+    na = a.node
 
     def bwd(g):
         t = g * y
         dot = np.sum(t, axis=-1, keepdims=True)
         np.subtract(g, dot, out=t)
         t *= y
-        accumulate(a, t)
+        accumulate(na, t)
 
     return make_node(y, "softmax", (a,), bwd)
 
@@ -175,10 +188,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
+    na, ng, nb = a.node, gain.node, bias.node
+    gd, b_shape = gain.data, bias.data.shape
 
     def bwd(g):
-        accumulate(bias, _unbroadcast(g, bias.data.shape), own=g.shape != bias.data.shape)
-        ga = g * gain.data
+        accumulate(nb, _unbroadcast(g, b_shape), own=g.shape != b_shape)
+        ga = g * gd
         gm = np.mean(ga, axis=-1, keepdims=True)
         t = ga * xhat
         gx = np.mean(t, axis=-1, keepdims=True)
@@ -186,18 +201,19 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         ga -= gm
         ga -= t
         ga *= inv
-        accumulate(a, ga)
+        accumulate(na, ga)
         # last, since a gain shaped like g adopts t
-        accumulate(gain, _unbroadcast(np.multiply(g, xhat, out=t), gain.data.shape))
+        accumulate(ng, _unbroadcast(np.multiply(g, xhat, out=t), gd.shape))
 
     return make_node(out, "layer_norm", (a, gain, bias), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
+    na, positive = a.node, a.data > 0
 
     def bwd(g):
-        accumulate(a, g * (a.data > 0))
+        accumulate(na, g * positive)
 
     return make_node(out, "relu", (a,), bwd)
 
@@ -208,7 +224,7 @@ def dropout(a: Tensor, p: float, key: tuple) -> Tensor:
     ``key`` is a tuple of ints, conventionally (run seed, dropout-site id,
     step); the mask is a pure function of it, so replaying a step
     reproduces the mask exactly.  ``p == 0`` (eval mode) is the identity
-    and returns ``a`` itself.  The node keeps the boolean mask, not a float copy.
+    and returns ``a`` itself.  The closure keeps the boolean mask, not a float copy.
 
     The mask is ``philox(*key).random(shape, dtype=np.float32) >= p`` read
     off the raw words behind that draw: float i is ``(w_i >> 8) / 2**24`` for
@@ -228,11 +244,12 @@ def dropout(a: Tensor, p: float, key: tuple) -> Tensor:
     k = math.ceil(float(np.float32(p)) * 2**24)
     keep = (words >= k << 8).reshape(a.data.shape)
     s = a.data.dtype.type(1.0 / (1.0 - p))
+    na = a.node
 
     def bwd(g):
         ga = g * keep
         ga *= s
-        accumulate(a, ga)
+        accumulate(na, ga)
 
     out = a.data * keep
     out *= s
@@ -246,9 +263,10 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
         out = np.where(mask, a.data.dtype.type(value), a.data)
     except ValueError:
         raise ShapeError(f"masked_fill: mask {mask.shape} does not broadcast to {a.data.shape}")
+    na, a_shape = a.node, a.data.shape
 
     def bwd(g):
-        accumulate(a, _unbroadcast(np.where(mask, 0.0, g), a.data.shape))
+        accumulate(na, _unbroadcast(np.where(mask, 0.0, g), a_shape))
 
     return make_node(out, "masked_fill", (a,), bwd)
 
@@ -275,6 +293,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     picked = np.take_along_axis(x, safe_targets[..., None], axis=-1)[..., 0]
     nll = (lse - picked) * keep
     loss = np.array(nll.sum() / count)
+    nl = logits.node
 
     def bwd(g):
         p = np.exp(x - m)
@@ -284,7 +303,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
             np.take_along_axis(p, safe_targets[..., None], axis=-1) - 1.0, axis=-1,
         )
         p *= (keep / count)[..., None]
-        accumulate(logits, p * g)
+        accumulate(nl, p * g)
 
     return make_node(loss, "cross_entropy", (logits,), bwd)
 

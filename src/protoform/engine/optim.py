@@ -29,10 +29,18 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     correction, then decoupled weight decay.
 
     Parameters without a gradient this step keep their moments but still
-    decay.  Mutates ``params`` and ``state`` in place.
+    decay.  Mutates ``params`` and ``state`` in place, and neither when a
+    gradient is not finite.
     """
     if lr <= 0:
         raise EngineError(f"adam_step: lr must be positive, got {lr}")
+    for name, p in params.items():
+        g = p.grad
+        if g is not None and not np.all(np.isfinite(g)):
+            raise EngineError(
+                f"adam_step: non-finite gradient for {name!r} at step {state.step + 1} "
+                f"(|g|max={np.abs(g[np.isfinite(g)]).max() if np.isfinite(g).any() else 'nan'})"
+            )
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1 ** t
@@ -40,11 +48,6 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     for name, p in params.items():
         g = p.grad
         if g is not None:
-            if not np.all(np.isfinite(g)):
-                raise EngineError(
-                    f"adam_step: non-finite gradient for {name!r} at step {t} "
-                    f"(|g|max={np.abs(g[np.isfinite(g)]).max() if np.isfinite(g).any() else 'nan'})"
-                )
             if name not in state.m:
                 state.m[name] = np.zeros_like(p.data)
                 state.v[name] = np.zeros_like(p.data)

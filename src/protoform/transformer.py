@@ -93,13 +93,14 @@ PRESETS = {"romance": ROMANCE, "sinitic": SINITIC}
 
 
 def sinusoid_table(n_positions: int, d_model: int) -> np.ndarray:
-    """PE[p, 2i] = sin(p / 10000^(2i/d)), PE[p, 2i+1] = cos(same angle)."""
+    """PE[p, 2i] = sin(p / 10000^(2i/d)), PE[p, 2i+1] = cos(same angle); an
+    odd ``d_model`` ends in a sine column."""
     pos = np.arange(n_positions, dtype=np.float64)[:, None]
     i = np.arange(0, d_model, 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, i / d_model)
     table = np.zeros((n_positions, d_model))
     table[:, 0::2] = np.sin(angle)
-    table[:, 1::2] = np.cos(angle)
+    table[:, 1::2] = np.cos(angle[:, :d_model // 2])
     return table
 
 

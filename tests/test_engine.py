@@ -104,7 +104,7 @@ class TestForward:
             x = E.Tensor(xs, requires_grad=True, dtype=dtype)
             out = E.dropout(x, p, key=key)
 
-            held = [c.cell_contents for c in out._backward.__closure__
+            held = [c.cell_contents for c in out.node.backward.__closure__
                     if isinstance(c.cell_contents, np.ndarray)]
             assert held and not any(np.issubdtype(a.dtype, np.floating) for a in held)
             mask = (E.philox(*key).random((6, 10), dtype=np.float32) >= p).astype(dtype)
@@ -115,7 +115,7 @@ class TestForward:
             np.testing.assert_array_equal(bits(out.data), bits(x.data * mask))
             g = E.philox(8).uniform(-1, 1, (6, 10)).astype(dtype)
             g.reshape(-1)[:56] = special * 8
-            out._backward(g)
+            out.node.backward(g)
             assert x.grad.dtype == dtype
             np.testing.assert_array_equal(bits(x.grad), bits(g * mask))
 
@@ -216,9 +216,9 @@ class TestNoAliasing:
         before = [t.data.copy() for t in leaves]
         handed = []
 
-        def recording(t, g, own=True):
+        def recording(node, g, own=True):
             handed.append((g, g.copy()))
-            accumulate(t, g, own)
+            accumulate(node, g, own)
 
         monkeypatch.setattr(ops, "accumulate", recording)
         if grad:
@@ -230,12 +230,12 @@ class TestNoAliasing:
         if grad:
             g = rng.uniform(-1, 1, out.data.shape).astype(dtype)
             g_bytes = g.copy()
-            out._backward(g)
+            out.node.backward(g)
             np.testing.assert_array_equal(bits(g), bits(g_bytes))
             assert len(handed) == len(leaves)
             assert all(t.grad is not None for t in leaves)
         else:
-            assert out._backward is None and not handed
+            assert out.node is None and not handed
         np.testing.assert_array_equal(bits(out.data), bits(out_bytes))
         for t, data in zip(leaves, before):
             np.testing.assert_array_equal(bits(t.data), bits(data))
@@ -287,7 +287,11 @@ class TestBackward:
 
         loss = build()
         gc.collect()
-        assert all(ref() is not None for ref in interior)
+        # no backward reads the relu output (its own keeps a boolean mask,
+        # dropout's its keep-mask); the dropout output is what ``total``'s
+        # ``linear`` reads, through ``reshape``'s view of it
+        relu_out, dropout_out = interior
+        assert relu_out() is None and dropout_out() is not None
         E.backward(loss)
         gc.collect()
         assert all(ref() is None for ref in interior)
@@ -373,11 +377,12 @@ class TestGradCheckSuite:
 def old_matmul(a, b):
     out = np.matmul(a.data, b.data)
     k, n = b.data.shape
+    na, nb, ad, bd = a.node, b.node, a.data, b.data
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        accumulate(a, np.matmul(g2, b.data.T).reshape(a.data.shape))
-        accumulate(b, np.matmul(a.data.reshape(-1, k).T, g2))
+        accumulate(na, np.matmul(g2, bd.T).reshape(ad.shape))
+        accumulate(nb, np.matmul(ad.reshape(-1, k).T, g2))
 
     return make_node(out, "matmul", (a, b), bwd)
 
@@ -387,11 +392,12 @@ def old_layer_norm(a):
     var = np.var(a.data, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (a.data - mu) * inv
+    na = a.node
 
     def bwd(g):
         gm = np.mean(g, axis=-1, keepdims=True)
         gx = np.mean(g * xhat, axis=-1, keepdims=True)
-        accumulate(a, inv * (g - gm - xhat * gx))
+        accumulate(na, inv * (g - gm - xhat * gx))
 
     return make_node(xhat, "layer_norm", (a,), bwd)
 
@@ -532,6 +538,25 @@ class TestAdam:
         with pytest.raises(E.EngineError, match="p"):
             E.adam_step({"p": p}, E.AdamState(), lr=0.1)
 
+    def test_non_finite_grad_changes_nothing(self):
+        # the last parameter's NaN is found before any parameter, moment or
+        # the step count moves
+        params = {"a": param([1.0, -2.0], grad=[0.5, 0.25]), "b": param([3.0], grad=[1.0]),
+                  "last": param([4.0, 5.0], grad=[1.0, np.nan])}
+        st = E.AdamState(weight_decay=0.01)
+        E.adam_step({"a": params["a"], "b": params["b"]}, st, lr=0.1)
+        before = ({n: p.data.copy() for n, p in params.items()},
+                  {n: m.copy() for n, m in st.m.items()}, {n: v.copy() for n, v in st.v.items()})
+        with pytest.raises(E.EngineError, match="non-finite gradient for 'last' at step 2"):
+            E.adam_step(params, st, lr=0.1)
+        assert st.step == 1 and sorted(st.m) == sorted(st.v) == ["a", "b"]
+        data, m, v = before
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, data[name], err_msg=name)
+        for name in m:
+            np.testing.assert_array_equal(st.m[name], m[name], err_msg=name)
+            np.testing.assert_array_equal(st.v[name], v[name], err_msg=name)
+
 
 class TestSchedule:
     # ROMANCE: lr 0.00013, 50 warmup epochs of 200
@@ -658,22 +683,27 @@ def record_nodes(monkeypatch) -> Counter:
     return built
 
 
+def tiny_training_loss():
+    """The loss of one tiny-config training ``loss_batch``, dropout on."""
+    from protoform import corpus as C
+
+    ds = C.parse_dataset(
+        "id\tA\tB\tP\nx\tpata\tbat\tpata\ny\tkunu\tgun\tkuna\n",
+        C.ParseOptions(tokenizer=C.TokenizerOptions(mode="orthographic")))
+    vocab = C.build_vocab(ds)
+    cfg = T.TransformerConfig(d_model=8, n_heads=2, n_encoder_layers=1,
+                              n_decoder_layers=1, d_feedforward=8, dropout_p=0.1)
+    model = T.Model(cfg, vocab, ds.languages)
+    batch = T.collate(C.encode_dataset(ds, vocab))
+    return model.loss_batch(batch, T._DropCtx(cfg.seed, 0, cfg.dropout_p))
+
+
 class TestOpSet:
     @pytest.fixture
     def built(self, monkeypatch):
         """Op kind of every node one tiny-config training ``loss_batch`` builds."""
-        from protoform import corpus as C
-
         built = record_nodes(monkeypatch)
-        ds = C.parse_dataset(
-            "id\tA\tB\tP\nx\tpata\tbat\tpata\ny\tkunu\tgun\tkuna\n",
-            C.ParseOptions(tokenizer=C.TokenizerOptions(mode="orthographic")))
-        vocab = C.build_vocab(ds)
-        cfg = T.TransformerConfig(d_model=8, n_heads=2, n_encoder_layers=1,
-                                  n_decoder_layers=1, d_feedforward=8, dropout_p=0.1)
-        model = T.Model(cfg, vocab, ds.languages)
-        batch = T.collate(C.encode_dataset(ds, vocab))
-        model.loss_batch(batch, T._DropCtx(cfg.seed, 0, cfg.dropout_p))
+        tiny_training_loss()
         return built
 
     def test_training_step_builds_every_op_kind_but_mul(self, built):
@@ -693,3 +723,48 @@ class TestOpSet:
         # norms, one node each
         assert sum(built.values()) == 87
         assert (built["linear"], built["layer_norm"], built["add"]) == (17, 5, 8)
+
+
+class TestGraphKeepsWhatBackwardReads:
+    """A backward closure holds its inputs' nodes and the arrays or shapes it
+    reads, never a Tensor, so an op output that no backward reads dies with
+    the forward code's last reference to it."""
+
+    @pytest.fixture
+    def step(self, monkeypatch):
+        """The tiny training loss, a weak reference to every op output by
+        kind, and the kinds whose closure holds a Tensor."""
+        from protoform.engine import ops
+
+        outputs, holders = {}, []
+        real = ops.make_node
+
+        def recording(data, op, parents, backward):
+            cells = [c.cell_contents for c in backward.__closure__ or ()]
+            cells += [x for c in cells if isinstance(c, tuple) for x in c]
+            if any(isinstance(c, E.Tensor) for c in cells):
+                holders.append(op)
+            outputs.setdefault(op, []).append(weakref.ref(data))
+            return real(data, op, parents, backward)
+
+        monkeypatch.setattr(ops, "make_node", recording)
+        loss = tiny_training_loss()
+        gc.collect()
+        return loss, outputs, holders
+
+    def test_no_closure_holds_a_tensor(self, step):
+        _, outputs, holders = step
+        assert set(outputs) == set(E.OP_KINDS) - {"mul"}
+        assert holders == []
+
+    def test_outputs_live_until_a_backward_has_read_them(self, step):
+        loss, outputs, _ = step
+        # the score chain, residual sums and relu outputs are read by no backward
+        for kind in ("matmul", "scale", "masked_fill", "add", "relu"):
+            assert all(ref() is None for ref in outputs[kind]), kind
+        # softmax's backward reads its output
+        assert all(ref() is not None for ref in outputs["softmax"])
+        E.backward(loss)
+        gc.collect()
+        alive = [kind for kind, refs in outputs.items() for ref in refs if ref() is not None]
+        assert alive == ["cross_entropy"] and outputs["cross_entropy"][0]() is loss.data

@@ -59,6 +59,24 @@ class TestPositionalEncoding:
         assert row[0] == pytest.approx(np.sin(1.0), abs=1e-15)
         assert row[1] == pytest.approx(np.cos(1.0), abs=1e-15)
 
+    def test_odd_width_ends_in_a_sine_column(self):
+        odd = T.sinusoid_table(10, 15)
+        assert odd.shape == (10, 15)
+        # seven sine-cosine pairs, then the sine of the eighth angle
+        angle = np.arange(10.0)[:, None] / np.power(10000.0, np.arange(0, 15, 2) / 15)
+        np.testing.assert_array_equal(odd[:, 0::2], np.sin(angle))
+        np.testing.assert_array_equal(odd[:, 1::2], np.cos(angle[:, :7]))
+
+    def test_odd_width_model_trains_and_decodes(self, toy):
+        ds, vocab = toy
+        train_ds = C.Dataset(ds.sets[:12], ds.languages, ds.proto_name)
+        val_ds = C.Dataset(ds.sets[12:16], ds.languages, ds.proto_name)
+        cfg = replace(TINY, d_model=15, n_heads=3, total_epochs=2, dropout_p=0.1)
+        trained = T.train(T.Model(cfg, vocab, ds.languages), train_ds, val_ds, cfg)
+        assert all(np.isfinite(h["train_loss"]) for h in trained.history)
+        words = T.greedy_decode(trained.model, C.encode_dataset(val_ds, vocab), 6)
+        assert len(words) == 4 and all(len(w) <= 6 for w in words)
+
     def test_restart_makes_position_k_identical_everywhere(self):
         ds = parse_dataset("id\tA\tB\tC\tP\nx\tabc\tabcde\tab\tabc\n", ORTH)
         vocab = build_vocab(ds)
@@ -462,11 +480,11 @@ def _backward_keeping_graph(loss):
     """The reverse pass as it was before ``E.backward`` released the graph:
     the same closures in the same order, every node keeping its gradient,
     closure and parent links."""
-    order = _toposort(loss)
+    order = _toposort(loss.node)
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node.backward is not None and node.grad is not None:
+            node.backward(node.grad)
 
 
 class TestBackwardRelease:
