@@ -340,10 +340,13 @@ class LinearClassifier:
         atoms_all = sorted({a for atoms, _ in columns for a in atoms})
         self.feature_index = {a: i for i, a in enumerate(atoms_all)}
         self.classes = sorted({label for _, label in columns})
+        n_cls, n_feat = len(self.classes), len(atoms_all)
+        self.W, self.b = np.zeros((n_cls, n_feat)), np.zeros(n_cls)
+        if n_cls == 1:
+            return   # predict's argmax over one class ignores the weights
         class_index = {c: i for i, c in enumerate(self.classes)}
         data = [(np.array(self._vectorize(atoms), dtype=np.intp), class_index[label])
                 for atoms, label in columns]
-        n_cls, n_feat = len(self.classes), len(atoms_all)
         # Weights by feature, so that a sample's weights are one row gather.
         # Summing those rows over axis 0 adds the same terms in the same
         # order as W[:, idx].sum(axis=1), whose gather comes out column-major.
@@ -359,47 +362,36 @@ class LinearClassifier:
         Y = np.full((n_cls, n_cls), -1.0)   # row c: the one-vs-rest targets of class c
         np.fill_diagonal(Y, 1.0)
         targets = Y[[ci for _, ci in data]]
-        # Windows of samples are scored at once to find the next sample that
-        # may violate a margin; that sample's own test below decides.  With
-        # one class numpy sums a window's contiguous axis pairwise, so the
-        # zero pads can reorder a sample's additions.  `slack` exceeds twice
-        # the rounding error of any order of at most `width` terms no larger
-        # than w_max, plus b, so every violating sample is nominated.
-        rounding = 4 * np.finfo(float).eps * width
-        w_max = 0.0   # a bound on |WT|: updates raise it, the decay cannot
-        slack = rounding
         for epoch in range(self.EPOCHS):
             lr = self.LR / (1 + epoch)
             lrY = lr * Y
             rng.shuffle(order)
-            ids, Ys = padded[order], targets[order]
-            pos = self._next_near(WT, b, ids, Ys, 0, slack)
+            # Feature-major: a window adds each sample's rows in the sample's
+            # own order, then zero pads, so it nominates exactly the violators.
+            ids, Ys = padded[order].T.copy(), targets[order]
+            pos = self._next_violation(WT, b, ids, Ys, 0)
             while pos < len(order):
                 idx, ci = data[order[pos]]
                 Wi = WT.take(idx, 0)
-                scores = np.add.reduce(Wi, 0) + b
-                viol = Y[ci] * scores < 1.0
-                if np.count_nonzero(viol):
-                    step = lrY[ci] * viol
-                    np.add(Wi, step, out=Wi, where=viol)   # violated classes only
-                    WT[idx] = Wi
-                    b += step
-                    w_max = max(w_max, float(np.abs(Wi).max(initial=0.0)))
-                    slack = rounding * (width * w_max + float(np.abs(b).max()) + 1.0)
-                pos = self._next_near(WT, b, ids, Ys, pos + 1, slack)
+                viol = Y[ci] * (np.add.reduce(Wi, 0) + b) < 1.0
+                step = lrY[ci] * viol
+                np.add(Wi, step, out=Wi, where=viol)   # violated classes only
+                WT[idx] = Wi
+                b += step
+                pos = self._next_violation(WT, b, ids, Ys, pos + 1)
             WT *= 1.0 - lr * self.L2 * len(data)
         self.W, self.b = np.ascontiguousarray(WT[:n_feat].T), b
 
-    def _next_near(self, WT, b, ids, Ys, start: int, slack: float) -> int:
-        """The first position from `start` on whose sample scores within
-        `slack` of violating a margin, one window of samples per numpy
-        call; ``len(ids)`` when there is none."""
-        while start < len(ids):
+    def _next_violation(self, WT, b, ids, Ys, start: int) -> int:
+        """The first position from `start` on whose sample violates a
+        margin, one window of samples per numpy call; ``len(Ys)`` when there
+        is none."""
+        while start < len(Ys):
             end = start + self.WINDOW
-            scores = np.add.reduce(WT.take(ids[start:end], 0), 1) + b
-            near = (Ys[start:end] * scores < 1.0 + slack).any(1)
-            if near.any():
-                return start + int(near.argmax())
+            scores = np.add.reduce(WT.take(ids[:, start:end], 0), 0) + b
+            viol = (Ys[start:end] * scores < 1.0).any(1)
+            if viol.any():
+                return start + int(viol.argmax())
             start = end
         return start
 

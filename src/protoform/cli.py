@@ -31,6 +31,7 @@ from . import transformer as T
 
 WORKERS_ENV = "PROTOFORM_WORKERS"
 DTYPE_ENV = "PROTOFORM_DTYPE"
+MAX_SEEDS = 1000   # per --seeds list
 
 
 class CliInputError(Exception):
@@ -108,22 +109,24 @@ def transformer_config_from(args, cp) -> T.TransformerConfig:
 
 
 def parse_seeds(spec: str) -> list:
-    """'0-9', '3', or '1,4,7'; also 'N@B' = N consecutive seeds from base B."""
+    """'0-9', '3', '1,4,7' or 'N@B' (N seeds from base B); at most MAX_SEEDS."""
     spec = spec.strip()
     try:
         if "@" in spec:
             n, base = spec.split("@", 1)
-            out = list(range(int(base), int(base) + int(n)))
+            out = range(int(base), int(base) + int(n))
         elif "-" in spec and "," not in spec:
             lo, hi = spec.split("-", 1)
-            out = list(range(int(lo), int(hi) + 1))
+            out = range(int(lo), int(hi) + 1)
         else:
             out = [int(s) for s in spec.split(",") if s.strip()]
     except ValueError:
         raise CliInputError(f"seed list {spec!r} is not of the form 0-9, 3, 1,4,7 or N@base")
+    if len(out[:MAX_SEEDS + 1]) > MAX_SEEDS:   # len() of a range past 2**63 overflows
+        raise CliInputError(f"seed list {spec!r} names more than {MAX_SEEDS} seeds")
     if not out or len(set(out)) != len(out):
         raise CliInputError(f"seed list {spec!r} must be nonempty and distinct")
-    return out
+    return list(out)
 
 
 def load_splits(args, cp) -> tuple:

@@ -564,11 +564,19 @@ def assert_fit_bit_equal(columns, seed=0, cfg=None, lang_index=None):
     return fast, violations
 
 
-class NoSlack(B.LinearClassifier):
-    """A window that nominates only the samples its own sums find violating."""
-
-    def _next_near(self, WT, b, ids, Ys, start, slack):
-        return super()._next_near(WT, b, ids, Ys, start, 0.0)
+def assert_one_class_fit(columns, seed=0, cfg=None, lang_index=None):
+    """With one class the fit leaves W and b at zero, and predicts what the
+    plainly written loop's weights predict."""
+    fast = B.LinearClassifier(cfg, lang_index or {}, seed)
+    fast.fit(columns)
+    ref = B.LinearClassifier(cfg, lang_index or {}, seed)
+    reference_fit(ref, columns)
+    assert fast.classes == ref.classes and len(fast.classes) == 1
+    assert fast.feature_index == ref.feature_index
+    assert fast.W.shape == ref.W.shape and not fast.W.any() and not fast.b.any()
+    assert np.count_nonzero(ref.W) > 0
+    assert [fast.predict(atoms) for atoms, _ in columns] == [
+        ref.predict(atoms) for atoms, _ in columns]
 
 
 class TestLinearFitLoop:
@@ -594,43 +602,50 @@ class TestLinearFitLoop:
         cfg = B.ContextConfig()
         columns = [(atoms, "x" if labels == "one" or corpus.token_class(label) == "vowel"
                     else "y") for atoms, label in B.training_columns(B.align_cognates(train), cfg)]
-        fast, _ = assert_fit_bit_equal(columns, 1, cfg, {l.name: l.index for l in train.languages})
-        assert len(fast.classes) == {"one": 1, "two": 2}[labels]
+        lang_index = {l.name: l.index for l in train.languages}
+        if labels == "one":
+            assert_one_class_fit(columns, 1, cfg, lang_index)
+        else:
+            fast, _ = assert_fit_bit_equal(columns, 1, cfg, lang_index)
+            assert len(fast.classes) == 2
 
     @pytest.mark.parametrize("seed, labels", [(150, "x"), (150, "xy"), (3, "xy")])
     def test_padded_random_columns_bit_equal(self, seed, labels):
-        assert_fit_bit_equal(random_columns(seed, labels))
+        if len(labels) == 1:
+            assert_one_class_fit(random_columns(seed, labels))
+        else:
+            assert_fit_bit_equal(random_columns(seed, labels))
 
-    def test_one_class_window_needs_its_slack(self):
-        # With one class numpy sums a window's padded row pairwise, in
-        # another order than the sample's own sum.  On this set a window
-        # that compares its own sums with no slack passes over a sample
-        # that violates, and the fit ends with other bits.
-        columns = random_columns(150, "x")
-        ref = B.LinearClassifier(None, {}, 0)
-        reference_fit(ref, columns)
-        no_slack = NoSlack(None, {}, 0)
-        no_slack.fit(columns)
-        assert not np.array_equal(no_slack.W.view(np.uint64), ref.W.view(np.uint64))
+    @pytest.mark.parametrize("labels", ["x", "xy"])
+    def test_l2_decay_bound(self, labels, monkeypatch):
+        # With L2 = 0.25 the per-epoch decay 1 - LR * L2 * columns reaches 0
+        # at 40 columns.  One class raises too: the bound is checked before
+        # its fit returns early.
+        monkeypatch.setattr(B.LinearClassifier, "L2", 0.25)
+        below = B.LinearClassifier(None, {}, 0)
+        below.fit(random_columns(0, labels, n=39))
+        assert below.classes == sorted(labels)
+        with pytest.raises(B.BaselineError, match="40 aligned columns reach the bound of 40,"):
+            B.LinearClassifier(None, {}, 0).fit(random_columns(0, labels, n=40))
 
     @pytest.mark.parametrize("window", [4, 128])
     def test_violations_at_window_edges(self, window, monkeypatch):
-        # Every violating sample is nominated, and the set covers a
-        # violation at a window's first sample, one at its last and two in
-        # one window, the second found after the scan resumes.
+        # The scan nominates exactly the violating samples, and the set
+        # covers a violation at a window's first sample, one at its last and
+        # two in one window, the second found after the scan resumes.
         train = sinitic_splits()[0]
         cfg = B.ContextConfig()
         columns = B.training_columns(B.align_cognates(train), cfg)
         calls = []
-        next_near = B.LinearClassifier._next_near
+        next_violation = B.LinearClassifier._next_violation
 
-        def spy(self, WT, b, ids, Ys, start, slack):
-            pos = next_near(self, WT, b, ids, Ys, start, slack)
+        def spy(self, WT, b, ids, Ys, start):
+            pos = next_violation(self, WT, b, ids, Ys, start)
             calls.append((start, pos))
             return pos
 
         monkeypatch.setattr(B.LinearClassifier, "WINDOW", window)
-        monkeypatch.setattr(B.LinearClassifier, "_next_near", spy)
+        monkeypatch.setattr(B.LinearClassifier, "_next_violation", spy)
         _, violations = assert_fit_bit_equal(columns, 0, cfg,
                                              {l.name: l.index for l in train.languages})
         epoch, nominated = -1, []   # (epoch, position, start of its window)
@@ -638,15 +653,14 @@ class TestLinearFitLoop:
             epoch += start == 0
             if pos < len(columns):
                 nominated.append((epoch, pos, start + (pos - start) // window * window))
-        violating = set(violations)
-        assert violating <= {(e, pos) for e, pos, _ in nominated}
-        found = [(e, pos, pos - first) for e, pos, first in nominated if (e, pos) in violating]
-        assert any(offset == 0 for _, _, offset in found)
+        assert [(e, pos) for e, pos, _ in nominated] == violations
+        offsets = [pos - first for _, pos, first in nominated]
+        assert 0 in offsets
         if window == 4:
-            assert any(offset == window - 1 for _, _, offset in found)
+            assert window - 1 in offsets
         pairs = zip(nominated, nominated[1:])
-        assert any((e1, p1) in violating and (e2, p2) in violating and e1 == e2
-                   and p2 < first + window for (e1, p1, first), (e2, p2, _) in pairs)
+        assert any(e1 == e2 and p2 < first + window
+                   for (e1, _, first), (e2, p2, _) in pairs)
 
 
 def bundled_tokens():

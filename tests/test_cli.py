@@ -608,6 +608,22 @@ class TestSeedSpecs:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "'x'" in err[0]
 
+    def test_at_most_max_seeds(self):
+        assert len(cli.parse_seeds(f"0-{cli.MAX_SEEDS - 1}")) == cli.MAX_SEEDS
+        assert cli.parse_seeds(f"{cli.MAX_SEEDS}@5")[-1] == cli.MAX_SEEDS + 4
+        for spec in (f"0-{cli.MAX_SEEDS}", f"{cli.MAX_SEEDS + 1}@0"):
+            with pytest.raises(cli.CliInputError, match="more than"):
+                cli.parse_seeds(spec)
+
+    # A count past 2**63 cannot be listed, and three billion seeds would not
+    # fit in memory: both are counted before they are listed.
+    @pytest.mark.parametrize("spec", ["99999999999999999999@0", "0-3000000000"])
+    def test_too_many_seeds_exit_2_with_one_line(self, spec, workdir, tmp_path, capsys):
+        err = run_fails(["train", "--dataset", workdir / "toy.tsv", "--config",
+                         workdir / "tiny.ini", "--seeds", spec, "--out", tmp_path / "out"],
+                        2, capsys)
+        assert err.startswith(f"error: seed list {spec!r} names more than")
+
 
 def run_fresh(args, **env):
     """The CLI in a new interpreter, so environment variables are read anew."""

@@ -27,6 +27,11 @@ tree's ``src/``, each in a fresh directory:
   ``stress = strip`` plus ``strip_length = true``, so that every branch of
   the phonetic tokenizer but its errors and tone runs (which the
   monosyllabic corpus has) reaches a compared file;
+- ``synth`` of 60-set corpora from ``sinitic_style.rules`` and
+  ``synth5.rules``, and one epoch of ``train --preset sinitic`` and of
+  ``train --preset romance`` on them: the only steps at the presets'
+  shapes (``d_model`` 128; Sinitic's ``d_feedforward`` 647 and batch 32
+  with a partial last batch, Romance's batch 1 with 3 + 3 layers);
 - ``gradcheck``, whose stdout prints every op's worst relative error.
 
 Every file written and every command's stdout are compared byte for byte.
@@ -82,6 +87,13 @@ weight_decay = 0
 batch_size = 3
 """
 
+# One epoch of a preset: the preset's shapes at the cost of one pass.
+ONE_EPOCH_INI = """\
+[transformer]
+total_epochs = 1
+warmup_epochs = 1
+"""
+
 # A phylogeny over the five daughters of synth5.rules.
 GOLD_TREE = "((Alba,Bruna),(Cara,(Dola,Esta)));\n"
 
@@ -118,6 +130,7 @@ IPA_TSV = (
 INPUTS = {
     "tiny.ini": TINY_INI,
     "odd.ini": ODD_INI,
+    "one_epoch.ini": ONE_EPOCH_INI,
     "gold.nwk": GOLD_TREE,
     "ipa.tsv": IPA_TSV,
     "strip.ini": "[corpus]\nstress = strip\n",
@@ -165,6 +178,14 @@ STEPS = [
                                 "--out", "ipa_strip"]),
     ("baseline-ipa-strip-length", {}, ["baseline", "--dataset", "ipa.tsv",
                                        "--config", "strip_length.ini", "--out", "ipa_strip_length"]),
+    ("synth-sinitic", {}, ["synth", "--rules", "{data}/sinitic_style.rules", "--n-sets", "60",
+                           "--seed", "3", "--out-file", "sinitic60.tsv"]),
+    ("train-sinitic", {}, ["train", "--dataset", "sinitic60.tsv", "--preset", "sinitic",
+                           "--config", "one_epoch.ini", "--seeds", "1@0", "--out", "sinitic"]),
+    ("synth-romance", {}, ["synth", "--rules", "{data}/synth5.rules", "--n-sets", "60",
+                           "--seed", "3", "--out-file", "romance60.tsv"]),
+    ("train-romance", {}, ["train", "--dataset", "romance60.tsv", "--preset", "romance",
+                           "--config", "one_epoch.ini", "--seeds", "1@0", "--out", "romance"]),
     ("gradcheck", {}, ["gradcheck"]),
 ]
 
