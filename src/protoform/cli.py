@@ -109,7 +109,8 @@ def transformer_config_from(args, cp) -> T.TransformerConfig:
 
 
 def parse_seeds(spec: str) -> list:
-    """'0-9', '3', '1,4,7' or 'N@B' (N seeds from base B); at most MAX_SEEDS."""
+    """'0-9', '3', '1,4,7' or 'N@B' (N seeds from base B); at most MAX_SEEDS,
+    each in [0, 2**64)."""
     spec = spec.strip()
     try:
         if "@" in spec:
@@ -126,6 +127,9 @@ def parse_seeds(spec: str) -> list:
         raise CliInputError(f"seed list {spec!r} names more than {MAX_SEEDS} seeds")
     if not out or len(set(out)) != len(out):
         raise CliInputError(f"seed list {spec!r} must be nonempty and distinct")
+    # the generators reduce a seed modulo 2**64, so a seed outside would alias one inside
+    if min(out) < 0 or max(out) >= 2**64:
+        raise CliInputError(f"seed list {spec!r} has a seed outside 0 to 2**64 - 1")
     return list(out)
 
 

@@ -199,6 +199,16 @@ def parse_dataset(tsv_text: str, options: ParseOptions = ParseOptions()) -> Data
         raise SchemaError("no daughter columns")
     languages = [LanguageId(name, i) for i, name in enumerate(daughter_names)]
 
+    # Cells repeat from row to row and column to column, so each distinct
+    # cell is tokenized once: to its tokens, or to None when it is empty.
+    forms: dict = {}
+
+    def form(cell: str):
+        if cell not in forms:
+            raw = _first_variant(cell)
+            forms[cell] = tokenize_form(raw, options.tokenizer) if raw else None
+        return forms[cell]
+
     sets = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -207,16 +217,15 @@ def parse_dataset(tsv_text: str, options: ParseOptions = ParseOptions()) -> Data
         if len(cells) != len(header):
             raise ParseError(f"line {lineno}: expected {len(header)} columns, got {len(cells)}")
         row = dict(zip(col_names, cells[1:]))
-        proto_raw = _first_variant(row[proto_name])
-        if not proto_raw:
-            continue
         try:
-            proto = tokenize_form(proto_raw, options.tokenizer)
+            proto = form(row[proto_name])
+            if proto is None:
+                continue
             daughters = {}
             for name in daughter_names:
-                raw = _first_variant(row[name])
-                if raw:
-                    daughters[name] = tokenize_form(raw, options.tokenizer)
+                word = form(row[name])
+                if word is not None:
+                    daughters[name] = word
         except TokenizeError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         if not daughters:

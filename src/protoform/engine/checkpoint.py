@@ -42,7 +42,7 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     head, sep, _ = raw.partition(b"\nend\n")
     if not sep:
         raise EngineError(f"checkpoint {path}: missing manifest terminator")
-    payload = raw[len(head) + len(sep):]
+    start = len(head) + len(sep)   # where the payload begins in ``raw``
     try:
         lines = head.decode("ascii").splitlines()
     except UnicodeDecodeError:
@@ -59,12 +59,12 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
             raise EngineError(f"checkpoint {path}: malformed manifest line {line!r}")
         if kind != "tensor" or min(shape + (offset, count)) < 0 or int(np.prod(shape)) != count:
             raise EngineError(f"checkpoint {path}: unexpected manifest line {line!r}")
-        if offset + 8 * count > len(payload):
+        if start + offset + 8 * count > len(raw):
             raise EngineError(
                 f"checkpoint {path}: tensor {name!r} runs past the end of the "
-                f"{len(payload)}-byte payload (truncated file?)"
+                f"{len(raw) - start}-byte payload (truncated file?)"
             )
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=start + offset)
         if not np.isfinite(arr).all():
             raise EngineError(f"checkpoint {path}: tensor {name!r} holds a NaN or an infinity")
         out[name] = arr.reshape(shape).copy()

@@ -8,6 +8,12 @@ inventory distinguishes both classes, plain uniform otherwise), each
 daughter's rules are applied in listed order in a single leftmost pass
 each, and the result is written as a corpus-format TSV.  Everything is a
 pure function of the rules file and the seed.
+
+Sampled protos repeat (an 800-set corpus of ``sinitic_style.rules`` holds
+about 560 distinct), so one ``generate_tsv`` call splits the inventory into
+phone classes once and derives each distinct proto's daughter cells once.
+Every word is still drawn, so the memo changes neither the random stream
+nor the TSV.
 """
 
 from __future__ import annotations
@@ -116,6 +122,8 @@ def _parse_rule(line: str, lineno: int) -> Rule:
 
 def apply_rule(tokens: tuple, rule: Rule) -> tuple:
     """One leftmost pass; context is evaluated on the pre-rule sequence."""
+    if rule.x[0] not in tokens:
+        return tokens   # no position can match
     out: list = []
     i = 0
     n = len(tokens)
@@ -153,16 +161,20 @@ def derive(proto: tuple, rules) -> tuple:
     return word
 
 
-def sample_proto(rng: DetRng, inventory: list) -> tuple:
-    """Random proto word of length 3-6.
+def phone_pools(inventory: list) -> tuple:
+    """(consonants, vowels, tones) of ``inventory``, each in inventory order."""
+    return tuple([t for t in inventory if token_class(t) == kind]
+                 for kind in ("consonant", "vowel", "tone"))
+
+
+def sample_proto(rng: DetRng, inventory: list, pools: tuple) -> tuple:
+    """Random proto word of length 3-6; ``pools`` is ``phone_pools(inventory)``.
 
     Tone-bearing inventories yield monosyllables (onset, nucleus, optional
     coda, tone); otherwise consonant/vowel slots alternate; inventories
     without both classes fall back to uniform draws.
     """
-    consonants = [t for t in inventory if token_class(t) == "consonant"]
-    vowels = [t for t in inventory if token_class(t) == "vowel"]
-    tones = [t for t in inventory if token_class(t) == "tone"]
+    consonants, vowels, tones = pools
     if tones and consonants and vowels:
         word = [consonants[rng.randint(len(consonants))],
                 vowels[rng.randint(len(vowels))]]
@@ -191,9 +203,13 @@ def generate_tsv(rules: RuleSet, n_sets: int, n_daughters: int, seed: int) -> st
         )
     chosen = rules.daughters[:n_daughters]
     rng = DetRng(mix64(0x5E17, seed))
+    pools = phone_pools(rules.inventory)
+    derived: dict = {}   # proto -> its daughter cells, tab-joined
     lines = ["set_id\t" + "\t".join(n for n, _ in chosen) + f"\t{rules.proto_name}"]
     for k in range(n_sets):
-        proto = sample_proto(rng, rules.inventory)
-        cells = ["".join(derive(proto, rs)) for _, rs in chosen]
-        lines.append(f"s{k:04d}\t" + "\t".join(cells) + "\t" + "".join(proto))
+        proto = sample_proto(rng, rules.inventory, pools)
+        cells = derived.get(proto)
+        if cells is None:
+            cells = derived[proto] = "\t".join("".join(derive(proto, rs)) for _, rs in chosen)
+        lines.append(f"s{k:04d}\t{cells}\t" + "".join(proto))
     return "\n".join(lines) + "\n"

@@ -624,6 +624,22 @@ class TestSeedSpecs:
                         2, capsys)
         assert err.startswith(f"error: seed list {spec!r} names more than")
 
+    def test_seeds_span_64_bits(self):
+        top = 2**64 - 1
+        assert cli.parse_seeds(f"1@{top}") == [top]
+        assert cli.parse_seeds(f"0,{top}") == [0, top]
+        assert cli.parse_seeds(f"{top - 1}-{top}") == [top - 1, top]
+
+    # The generators reduce a seed modulo 2**64: each of these would alias a
+    # seed in range (2**64 trains seed 0's bytes, -1 trains 2**64 - 1's).
+    @pytest.mark.parametrize("spec", ["18446744073709551616", "0,18446744073709551616",
+                                      "3,-1", "2@-5", "2@18446744073709551615"])
+    def test_seed_outside_64_bits_exit_2_with_one_line(self, spec, workdir, tmp_path, capsys):
+        err = run_fails(["train", "--dataset", workdir / "toy.tsv", "--config",
+                         workdir / "tiny.ini", "--seeds", spec, "--out", tmp_path / "out"],
+                        2, capsys)
+        assert err == f"error: seed list {spec!r} has a seed outside 0 to 2**64 - 1"
+
 
 def run_fresh(args, **env):
     """The CLI in a new interpreter, so environment variables are read anew."""

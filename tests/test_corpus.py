@@ -1,10 +1,11 @@
 import itertools
 import random
 import unicodedata
+from importlib import resources
 
 import pytest
 
-from protoform import corpus
+from protoform import corpus, synth
 from protoform.corpus import (
     BOS_ID, EOS_ID, PAD_ID, UNK_ID,
     CorpusError, ParseError, ParseOptions, SchemaError, TokenizeError,
@@ -182,8 +183,16 @@ class TestParse:
         assert ds.sets[2].daughters["Nord"] == ("tʰ", "a")
 
     def test_empty_proto_rows_dropped(self):
-        ds = parse_dataset("id\tA\tP\nx\tka\t\ny\tpo\tpa\n")
+        # the same empty proto cell twice, and a variant list whose first is empty
+        ds = parse_dataset("id\tA\tP\nx\tka\t\ny\tpo\tpa\nz\tku\t\nw\tki\t/pi\n")
         assert [cs.set_id for cs in ds.sets] == ["y"]
+
+    def test_repeated_malformed_form_reports_its_first_line(self):
+        # line 2's copy is never tokenized: its row has no proto
+        bad = "\u0303a"
+        tsv = f"id\tA\tP\nv\t{bad}\t\nx\t{bad}\tpo\ny\tki\tpi\nz\t{bad}\tpu\n"
+        with pytest.raises(ParseError, match=r"^line 3: combining mark"):
+            parse_dataset(tsv)
 
     def test_proto_column_selectable(self):
         ds = parse_dataset(SMALL_TSV, ParseOptions(proto_column="Nord"))
@@ -197,6 +206,39 @@ class TestParse:
     def test_duplicate_language_rejected(self):
         with pytest.raises(SchemaError, match="duplicate"):
             parse_dataset("id\tA\tA\tP\nx\ta\tb\tc\n")
+
+
+def reference_parse_sets(tsv_text, options):
+    """``parse_dataset``'s rows with every cell tokenized where it stands."""
+    lines = tsv_text.splitlines()
+    col_names = lines[0].split("\t")[1:]
+    proto_name = options.proto_column or col_names[-1]
+    sets = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        row = dict(zip(col_names, line.split("\t")[1:]))
+        proto_raw = corpus._first_variant(row[proto_name])
+        if not proto_raw:
+            continue
+        proto = tokenize_form(proto_raw, options.tokenizer)
+        daughters = {}
+        for name in col_names:
+            raw = corpus._first_variant(row[name])
+            if name != proto_name and raw:
+                daughters[name] = tokenize_form(raw, options.tokenizer)
+        if daughters:
+            sets.append(corpus.CognateSet(line.split("\t")[0].strip(), proto, daughters))
+    return sets
+
+
+@pytest.mark.parametrize("mode", ["phonetic", "orthographic"])
+def test_parse_matches_per_cell_reference_on_a_sinitic_corpus(mode):
+    rules = synth.parse_rules(resources.files("protoform.data")
+                              .joinpath("sinitic_style.rules").read_text("utf-8"))
+    tsv = synth.generate_tsv(rules, 800, len(rules.daughters), seed=121)
+    options = ParseOptions(tokenizer=TokenizerOptions(mode=mode))
+    ds = parse_dataset(tsv, options)
+    assert len(ds.sets) == 800
+    assert ds.sets == reference_parse_sets(tsv, options)
 
 
 class TestVocab:

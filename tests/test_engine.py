@@ -592,6 +592,21 @@ class TestCheckpoint:
         head = path.read_bytes().split(b"\nend\n")[0]
         assert head.decode("ascii").startswith("PROTOFORM-CKPT")
 
+    def test_truncated_payload_message(self, tmp_path):
+        # a 40-byte payload: "a" at offset 0, "b" at 24; four bytes cut off "b"
+        path = tmp_path / "t.ckpt"
+        E.save_checkpoint(str(path), {"a": np.arange(3.0), "b": np.ones(2)})
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-4])
+        with pytest.raises(E.EngineError) as info:
+            E.load_checkpoint(str(path))
+        assert str(info.value) == (f"checkpoint {path}: tensor 'b' runs past the end of "
+                                   "the 36-byte payload (truncated file?)")
+        path.write_bytes(blob)
+        loaded = E.load_checkpoint(str(path))
+        np.testing.assert_array_equal(loaded["b"], np.ones(2))
+        assert loaded["a"].flags.owndata and loaded["a"].flags.writeable
+
 
 class TestDeterminism:
     def test_detrng_is_stable(self):

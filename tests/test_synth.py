@@ -1,7 +1,16 @@
+from importlib import resources
+
 import pytest
 
 from protoform import synth as S
-from protoform.corpus import parse_dataset
+from protoform.corpus import parse_dataset, token_class
+from protoform.engine.rng import DetRng, mix64
+
+BUNDLED = ("synth5.rules", "sinitic_style.rules", "west_germanic.rules")
+
+
+def bundled(name):
+    return S.parse_rules(resources.files("protoform.data").joinpath(name).read_text("utf-8"))
 
 RULES = """\
 proto: Proto
@@ -62,6 +71,104 @@ class TestApplyRule:
         rules = [S.Rule(("a",), ("o",), None, "#"), S.Rule(("i",), ("a",), None, "#")]
         # a->o first, then i->a: final i becomes a and is NOT re-raised to o
         assert S.derive(("p", "i"), rules) == ("p", "a")
+
+
+def reference_apply_rule(tokens, rule):
+    """``apply_rule``'s loop without its early return: every position is
+    tried, whether or not the rule's first token occurs in the word."""
+    out = []
+    i = 0
+    k = len(rule.x)
+    while i < len(tokens):
+        if tokens[i:i + k] == rule.x and S._context_ok(tokens, i, i + k, rule):
+            out.extend(rule.y)
+            i += k
+        else:
+            out.append(tokens[i])
+            i += 1
+    return tuple(out)
+
+
+def reference_sample_proto(rng, inventory):
+    """``sample_proto`` classifying the inventory anew for each word."""
+    consonants = [t for t in inventory if token_class(t) == "consonant"]
+    vowels = [t for t in inventory if token_class(t) == "vowel"]
+    tones = [t for t in inventory if token_class(t) == "tone"]
+    if tones and consonants and vowels:
+        word = [consonants[rng.randint(len(consonants))], vowels[rng.randint(len(vowels))]]
+        if rng.randint(2):
+            word.append(consonants[rng.randint(len(consonants))])
+        word.append(tones[rng.randint(len(tones))])
+        return tuple(word)
+    length = 3 + rng.randint(4)
+    if not consonants or not vowels:
+        return tuple(inventory[rng.randint(len(inventory))] for _ in range(length))
+    word = []
+    for i in range(length):
+        pool = consonants if i % 2 == 0 else vowels
+        word.append(pool[rng.randint(len(pool))])
+    return tuple(word)
+
+
+def reference_generate_tsv(rules, n_sets, n_daughters, seed):
+    """``generate_tsv`` deriving every sampled proto anew, with the reference loop."""
+    chosen = rules.daughters[:n_daughters]
+    rng = DetRng(mix64(0x5E17, seed))
+    lines = ["set_id\t" + "\t".join(n for n, _ in chosen) + f"\t{rules.proto_name}"]
+    for k in range(n_sets):
+        proto = reference_sample_proto(rng, rules.inventory)
+        cells = []
+        for _, rs in chosen:
+            word = proto
+            for rule in rs:
+                word = reference_apply_rule(word, rule)
+            cells.append("".join(word))
+        lines.append(f"s{k:04d}\t" + "\t".join(cells) + "\t" + "".join(proto))
+    return "\n".join(lines) + "\n"
+
+
+class TestSameAsReference:
+    """The early return of ``apply_rule``, the inventory split once per call
+    and the per-call memo of derived cells change no output."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_apply_rule_on_sampled_words_and_derivations(self, name):
+        rs = bundled(name)
+        rng = DetRng(mix64(0xA991, len(name)))
+        pools = S.phone_pools(rs.inventory)
+        words = set()
+        for _ in range(1000):
+            proto = S.sample_proto(rng, rs.inventory, pools)
+            words.add(proto)
+            for _, rules in rs.daughters:
+                word = proto
+                for rule in rules:
+                    word = reference_apply_rule(word, rule)
+                    words.add(word)
+        # Two-token sources: the first token occurs in many words where the
+        # pair does not, so the early return does not fire there and the
+        # scan must still find no match.
+        c, v = pools[0][0], pools[1][0]
+        rules = [rule for _, rules in rs.daughters for rule in rules] + [
+            S.Rule((c, v), (v,)), S.Rule((v, c), (), "#", None), S.Rule((c, c), (c,))]
+        for word in sorted(words):
+            for rule in rules:
+                got = S.apply_rule(word, rule)
+                assert got == reference_apply_rule(word, rule), (word, str(rule))
+                assert type(got) is tuple
+
+    def test_two_token_source_whose_first_token_does_not_match(self):
+        rule = S.Rule(("t", "a"), ("d",))
+        assert S.apply_rule(("p", "i", "t"), rule) == ("p", "i", "t")
+        assert S.apply_rule(("t", "i", "t", "a"), rule) == ("t", "i", "d")
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("seed", [0, 121, 310])
+    def test_generate_tsv_byte_equal(self, name, seed):
+        rs = bundled(name)
+        for n_daughters in (1, len(rs.daughters)):
+            assert S.generate_tsv(rs, 300, n_daughters, seed) == \
+                reference_generate_tsv(rs, 300, n_daughters, seed)
 
 
 class TestGenerate:

@@ -22,6 +22,10 @@ tree's ``src/``, each in a fresh directory:
   on it with the two classifier kinds, so that the progressive alignment
   meets many repeated (consensus, word) pairs in one call and the linear
   classifier's 50 epoch shuffles run over several hundred columns;
+- ``synth`` of an 800-set corpus from ``sinitic_style.rules`` at seed 121,
+  the shape the ``train-sinitic`` benchmark builds: 557 distinct protos of
+  800 and 2,068 distinct cells of 10,400, so that ``generate_tsv`` meets
+  repeated protos at scale (``synth-300`` has 250 distinct of 300);
 - ``baseline`` on the hand-written IPA table ``IPA_TSV`` three times: with
   the default tokenizer, with ``[corpus] stress = strip``, and with
   ``stress = strip`` plus ``strip_length = true``, so that every branch of
@@ -173,6 +177,8 @@ STEPS = [
                        "--seed", "5", "--out-file", "mono300.tsv"]),
     ("baseline-300", {}, ["baseline", "--dataset", "mono300.tsv", "--kinds", "pattern,linear",
                           "--out", "base300"]),
+    ("synth-800", {}, ["synth", "--rules", "{data}/sinitic_style.rules", "--n-sets", "800",
+                       "--seed", "121", "--out-file", "sinitic800.tsv"]),
     ("baseline-ipa", {}, ["baseline", "--dataset", "ipa.tsv", "--out", "ipa_base"]),
     ("baseline-ipa-strip", {}, ["baseline", "--dataset", "ipa.tsv", "--config", "strip.ini",
                                 "--out", "ipa_strip"]),
