@@ -46,30 +46,18 @@ def random_daughter(cs: CognateSet, seed: int) -> Word:
     return cs.daughters[names[rng.randint(len(names))]]
 
 
-@dataclass(frozen=True)
-class SyllableParse:
-    onset: Word
-    nucleus: Word
-    coda: Word
-    tone: str | None
-
-    def constituents(self):
-        tone = (self.tone,) if self.tone is not None else ()
-        return (self.onset, self.nucleus, self.coda, tone)
-
-
 @functools.cache
-def parse_syllable(word: Word) -> SyllableParse | None:
-    """Onset + nucleus + coda + optional trailing tone; None if the word is
-    not a single syllable (internal tones, several vowel runs, no vowel).
+def parse_syllable(word: Word) -> tuple | None:
+    """The constituents (onset, nucleus, coda, tone), each a token tuple,
+    with tone ``()`` or one trailing tone; None if the word is not a single
+    syllable (internal tones, several vowel runs, no vowel).
 
     Memoised: the majority gate parses every training form, and the
     baseline then parses each test set's daughters again."""
     toks = list(word)
-    tone = None
+    tone = ()
     if toks and token_class(toks[-1]) == "tone":
-        tone = toks[-1]
-        toks = toks[:-1]
+        tone = (toks.pop(),)
     classes = [token_class(t) for t in toks]
     if "tone" in classes or "vowel" not in classes:
         return None
@@ -77,12 +65,7 @@ def parse_syllable(word: Word) -> SyllableParse | None:
     last_v = len(classes) - 1 - classes[::-1].index("vowel")
     if any(c != "vowel" for c in classes[first_v:last_v + 1]):
         return None  # polysyllabic
-    return SyllableParse(
-        onset=tuple(toks[:first_v]),
-        nucleus=tuple(toks[first_v:last_v + 1]),
-        coda=tuple(toks[last_v + 1:]),
-        tone=tone,
-    )
+    return tuple(toks[:first_v]), tuple(toks[first_v:last_v + 1]), tuple(toks[last_v + 1:]), tone
 
 
 def supports_majority_constituent(ds: Dataset) -> bool:
@@ -122,11 +105,10 @@ def majority_constituent(train: Dataset, cs: CognateSet) -> Word:
     if not parses:
         return ()
     out: list[str] = []
-    for k in range(4):
+    for parts in zip(*parses):   # the onsets, then the nuclei, codas and tones
         counts: dict = {}
         tokens_of: dict = {}
-        for p in parses:
-            part = p.constituents()[k]
+        for part in parts:
             key = "".join(part)
             counts[key] = counts.get(key, 0) + 1
             tokens_of.setdefault(key, part)
@@ -242,10 +224,10 @@ def align_cognates(ds: Dataset) -> AlignedSiteMatrix:
 
 @dataclass(frozen=True)
 class ContextConfig:
-    """Which context feature families accompany the symbol one-hots."""
-    use_pos: bool = True   # relative-position bucket
-    use_str: bool = True   # prosodic class of the column majority
-    use_ini: bool = True   # word-initial / word-final flags
+    """No settings: ``column_features`` always adds the position bucket,
+    the prosodic class of the column majority and the word-initial / final
+    flags.  The class remains because the benchmark passes
+    ``ContextConfig()`` to ``train_site_classifier``, which ignores it."""
 
 
 def _pos_bucket(col: int, n: int) -> str:
@@ -261,23 +243,19 @@ def _pos_bucket(col: int, n: int) -> str:
     return "late"
 
 
-def column_features(aset: AlignedSet, col: int, cfg: ContextConfig) -> frozenset:
+def column_features(aset: AlignedSet, col: int) -> frozenset:
     atoms = [("sym", name, row[col]) for name, row in aset.rows.items()]
     n = aset.n_cols
-    if cfg.use_pos:
-        atoms.append(("pos", _pos_bucket(col, n)))
-    if cfg.use_str:
-        counts: dict = {}
-        for _, row in aset.rows.items():
-            if row[col] != GAP:
-                counts[token_class(row[col])] = counts.get(token_class(row[col]), 0) + 1
-        cls = _mode(counts) if counts else "gap"
-        atoms.append(("str", cls))
-    if cfg.use_ini:
-        if col == 0:
-            atoms.append(("ini", "initial"))
-        if col == n - 1:
-            atoms.append(("ini", "final"))
+    atoms.append(("pos", _pos_bucket(col, n)))
+    counts: dict = {}
+    for _, row in aset.rows.items():
+        if row[col] != GAP:
+            counts[token_class(row[col])] = counts.get(token_class(row[col]), 0) + 1
+    atoms.append(("str", _mode(counts) if counts else "gap"))
+    if col == 0:
+        atoms.append(("ini", "initial"))
+    if col == n - 1:
+        atoms.append(("ini", "final"))
     return frozenset(atoms)
 
 
@@ -285,8 +263,7 @@ class PatternClassifier:
     """Memorizes training columns; unseen columns back off to the nearest
     stored column by Hamming distance over active features."""
 
-    def __init__(self, cfg: ContextConfig, lang_index: dict):
-        self.cfg = cfg
+    def __init__(self, lang_index: dict):
         self.lang_index = lang_index
         self.patterns: dict = {}   # frozenset(atom) -> {label: count}
 
@@ -320,8 +297,7 @@ class LinearClassifier:
     L2 = 1e-4
     WINDOW = 128   # samples scored per numpy call in the search for a margin violation
 
-    def __init__(self, cfg: ContextConfig, lang_index: dict, seed: int = 0):
-        self.cfg = cfg
+    def __init__(self, lang_index: dict, seed: int = 0):
         self.lang_index = lang_index
         self.seed = seed
         self.feature_index: dict = {}
@@ -401,13 +377,13 @@ class LinearClassifier:
         return self.classes[int(np.argmax(scores))]
 
 
-def training_columns(sites: AlignedSiteMatrix, cfg: ContextConfig) -> list:
+def training_columns(sites: AlignedSiteMatrix) -> list:
     cols = []
     for aset in sites.sets:
         if aset.proto_row is None:
             raise BaselineError(f"aligned set {aset.set_id!r} lacks a proto row")
         for j in range(aset.n_cols):
-            cols.append((column_features(aset, j, cfg), aset.proto_row[j]))
+            cols.append((column_features(aset, j), aset.proto_row[j]))
     return cols
 
 
@@ -417,11 +393,11 @@ def train_site_classifier(sites: AlignedSiteMatrix, kind: str,
     if not sites.sets:
         raise BaselineError("no aligned sites to train on")
     lang_index = {l.name: l.index for l in sites.languages}
-    columns = training_columns(sites, feats)
+    columns = training_columns(sites)
     if kind == "pattern":
-        clf = PatternClassifier(feats, lang_index)
+        clf = PatternClassifier(lang_index)
     elif kind == "linear":
-        clf = LinearClassifier(feats, lang_index, seed)
+        clf = LinearClassifier(lang_index, seed)
     else:
         raise BaselineError(f"unknown classifier kind {kind!r}")
     clf.fit(columns)
@@ -434,7 +410,7 @@ def reconstruct_with_classifier(clf, cs: CognateSet) -> Word:
     aset, _ = align_daughters(cs, clf.lang_index, {})
     out = []
     for j in range(aset.n_cols):
-        label = clf.predict(column_features(aset, j, clf.cfg))
+        label = clf.predict(column_features(aset, j))
         if label != GAP:
             out.append(label)
     return tuple(out)

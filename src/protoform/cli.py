@@ -54,33 +54,57 @@ def _read_text(path: str) -> str:
         raise CliInputError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})")
 
 
+# [corpus] key -> (default, accepted values or None for any string), in the
+# order config.ini echoes them; a flag with the key's name wins over the file
+CORPUS = {
+    "dataset": ("", None),
+    "proto_column": ("", None),
+    "mode": ("phonetic", ("phonetic", "orthographic")),
+    "strip_length": ("false", ("false", "true")),
+    "stress": ("separate", ("separate", "strip")),
+    "split_seed": ("0", None),   # checked by seed_value
+}
+SECTIONS = {"corpus": CORPUS, "experiment": ("seeds",),
+            "transformer": ("preset", *T.TransformerConfig.__dataclass_fields__)}
+
+
 def _read_config(path: str | None) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
+    """The INI file at ``path``, read as written: no ``%`` interpolation, no [DEFAULT]."""
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     if path:
         cp.read_string(_read_text(path), source=path)
+    for name in cp.sections():
+        if name not in SECTIONS:
+            raise CliInputError(f"unknown section [{name}] in {path}; choose from {', '.join(SECTIONS)}")
+        for key in cp[name]:
+            if key not in SECTIONS[name]:
+                raise CliInputError(f"unknown [{name}] option {key!r}")
     return cp
 
 
-CORPUS_VALUES = {
-    "mode": ("phonetic", "orthographic"),
-    "strip_length": ("false", "true"),
-    "stress": ("separate", "strip"),
-}
+def seed_value(raw: str, name: str) -> int:
+    """``raw`` as one seed: an integer in [0, 2**64).  The generators reduce
+    a seed modulo 2**64, so a seed outside would alias one inside."""
+    try:
+        if 0 <= int(raw) < 2**64:
+            return int(raw)
+    except ValueError:
+        pass
+    raise CliInputError(f"{name} {raw!r} is not an integer from 0 to 2**64 - 1")
 
 
-def parse_options_from(args, cp) -> C.ParseOptions:
-    sec = cp["corpus"] if cp.has_section("corpus") else {}
-    for key, accepted in CORPUS_VALUES.items():
-        if key in sec and sec[key].lower() not in accepted:
-            raise CliInputError(f"[corpus] {key} = {sec[key]!r}; choose from {'|'.join(accepted)}")
-    proto = args.proto_column or sec.get("proto_column") or None
-    mode = "orthographic" if args.orthographic else sec.get("mode", "phonetic").lower()
-    strip = args.strip_length or sec.get("strip_length", "false").lower() == "true"
-    stress = sec.get("stress", "separate").lower()
-    return C.ParseOptions(
-        proto_column=proto,
-        tokenizer=C.TokenizerOptions(mode=mode, strip_length=strip, stress=stress),
-    )
+def corpus_settings(args, cp) -> dict:
+    """The [corpus] settings as the strings config.ini echoes: a flag the
+    user gave wins over the file, and the file over the default."""
+    out = {}
+    for key, (default, accepted) in CORPUS.items():
+        flag = getattr(args, key, None)
+        value = flag if flag is not None else cp.get("corpus", key, fallback=default)
+        out[key] = value.lower() if accepted else value
+        if accepted and out[key] not in accepted:
+            raise CliInputError(f"[corpus] {key} = {value!r}; choose from {'|'.join(accepted)}")
+    out["split_seed"] = str(seed_value(out["split_seed"], "split seed"))
+    return out
 
 
 def transformer_config_from(args, cp) -> T.TransformerConfig:
@@ -95,8 +119,6 @@ def transformer_config_from(args, cp) -> T.TransformerConfig:
         if key == "seed":
             raise CliInputError("[transformer] seed is not an option; "
                                 "give the run seeds with --seeds")
-        if key not in T.TransformerConfig.__dataclass_fields__:
-            raise CliInputError(f"unknown [transformer] option {key!r}")
         kind = T.TransformerConfig.__dataclass_fields__[key].type
         try:
             fields[key] = float(raw) if kind == "float" else int(raw)
@@ -110,7 +132,7 @@ def transformer_config_from(args, cp) -> T.TransformerConfig:
 
 def parse_seeds(spec: str) -> list:
     """'0-9', '3', '1,4,7' or 'N@B' (N seeds from base B); at most MAX_SEEDS,
-    each in [0, 2**64)."""
+    each in [0, 2**64) as seed_value requires."""
     spec = spec.strip()
     try:
         if "@" in spec:
@@ -127,35 +149,34 @@ def parse_seeds(spec: str) -> list:
         raise CliInputError(f"seed list {spec!r} names more than {MAX_SEEDS} seeds")
     if not out or len(set(out)) != len(out):
         raise CliInputError(f"seed list {spec!r} must be nonempty and distinct")
-    # the generators reduce a seed modulo 2**64, so a seed outside would alias one inside
     if min(out) < 0 or max(out) >= 2**64:
         raise CliInputError(f"seed list {spec!r} has a seed outside 0 to 2**64 - 1")
     return list(out)
 
 
+def run_seeds(args, cp) -> list:
+    """--seeds, else [experiment] seeds, else 10@0."""
+    return parse_seeds(args.seeds or cp.get("experiment", "seeds", fallback="10@0"))
+
+
 def load_splits(args, cp) -> tuple:
-    """((train, val, test), options): the dataset parsed once and split."""
-    if not args.dataset:
+    """((train, val, test), corpus settings): the dataset parsed once and split."""
+    corpus = corpus_settings(args, cp)
+    if not corpus["dataset"]:
         raise CliInputError("--dataset is required")
-    options = parse_options_from(args, cp)
-    text = _read_text(args.dataset)
+    options = C.ParseOptions(corpus["proto_column"] or None, C.TokenizerOptions(
+        corpus["mode"], corpus["strip_length"] == "true", corpus["stress"]))
+    text = _read_text(corpus["dataset"])
     try:
         ds = C.parse_dataset(text, options)
     except C.CorpusError as exc:
-        raise CliInputError(f"cannot parse {args.dataset}: {exc}")
-    return C.split_dataset(ds, args.split_seed), options
+        raise CliInputError(f"cannot parse {corpus['dataset']}: {exc}")
+    return C.split_dataset(ds, int(corpus["split_seed"])), corpus
 
 
-def _echo_config(out_dir: str, args, options: C.ParseOptions, cfg, seeds) -> None:
-    cp = configparser.ConfigParser()
-    cp["corpus"] = {
-        "dataset": args.dataset,
-        "proto_column": options.proto_column or "",
-        "mode": options.tokenizer.mode,
-        "strip_length": str(options.tokenizer.strip_length).lower(),
-        "stress": options.tokenizer.stress,
-        "split_seed": str(args.split_seed),
-    }
+def _echo_config(out_dir: str, corpus: dict, cfg, seeds) -> None:
+    cp = configparser.ConfigParser(interpolation=None)
+    cp["corpus"] = corpus
     cp["transformer"] = {k: repr(v) for k, v in sorted(asdict(cfg).items()) if k != "seed"}
     cp["experiment"] = {"seeds": ",".join(str(s) for s in seeds)}
     with open(os.path.join(out_dir, "config.ini"), "w", encoding="utf-8") as fh:
@@ -196,11 +217,11 @@ def cmd_train(args) -> int:
     workers = _workers()
     cp = _read_config(args.config)
     cfg = transformer_config_from(args, cp)
-    seeds = parse_seeds(args.seeds)
-    (train_ds, val_ds, _), options = load_splits(args, cp)
+    seeds = run_seeds(args, cp)
+    (train_ds, val_ds, _), corpus = load_splits(args, cp)
     vocab = C.build_vocab(train_ds)
     os.makedirs(args.out, exist_ok=True)
-    _echo_config(args.out, args, options, cfg, seeds)
+    _echo_config(args.out, corpus, cfg, seeds)
     job = functools.partial(_train_one, train_ds, val_ds, vocab, cfg, args.out)
     if workers > 1 and len(seeds) > 1:
         import multiprocessing as mp
@@ -298,17 +319,17 @@ def _baseline_rows(kinds, train_ds, test_ds, ft, seed) -> list:
     return rows
 
 
-def _feature_table_for(options: C.ParseOptions):
-    if options.tokenizer.mode == "orthographic":
+def _feature_table_for(corpus: dict):
+    if corpus["mode"] == "orthographic":
         return None  # FER is not meaningful outside IPA
     return M.FeatureTable.bundled()
 
 
 def cmd_evaluate(args) -> int:
     cp = _read_config(args.config)
-    seeds = parse_seeds(args.seeds)
+    seeds = run_seeds(args, cp)
     kinds = baseline_kinds(args.baselines) if args.baselines else []
-    (train_ds, _, test_ds), options = load_splits(args, cp)
+    (train_ds, _, test_ds), corpus = load_splits(args, cp)
     trained = _load_trained(args.checkpoints or args.out, seeds)
     expected = C.build_vocab(train_ds)
     if any(tm.vocab != expected for tm in trained):
@@ -316,7 +337,7 @@ def cmd_evaluate(args) -> int:
             "checkpoint vocabulary does not match this dataset/split; "
             "evaluate with the dataset and split seed used for training"
         )
-    ft = _feature_table_for(options)
+    ft = _feature_table_for(corpus)
     golds = [cs.proto for cs in test_ds.sets]
     examples = C.encode_dataset(test_ds, expected)
     per_seed = []
@@ -342,8 +363,9 @@ def cmd_evaluate(args) -> int:
 def cmd_baseline(args) -> int:
     cp = _read_config(args.config)
     kinds = baseline_kinds(args.kinds)
-    (train_ds, _, test_ds), options = load_splits(args, cp)
-    rows = _baseline_rows(kinds, train_ds, test_ds, _feature_table_for(options), args.seed)
+    seed = seed_value(args.seed, "--seed")
+    (train_ds, _, test_ds), corpus = load_splits(args, cp)
+    rows = _baseline_rows(kinds, train_ds, test_ds, _feature_table_for(corpus), seed)
     os.makedirs(args.out, exist_ok=True)
     _write_results(args.out, rows)
     return 0
@@ -403,7 +425,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_synth(args) -> int:
     rules = S.parse_rules(_read_text(args.rules))
     n_daughters = len(rules.daughters) if args.n_daughters is None else args.n_daughters
-    tsv = S.generate_tsv(rules, args.n_sets, n_daughters, args.seed)
+    tsv = S.generate_tsv(rules, args.n_sets, n_daughters, seed_value(args.seed, "--seed"))
     if args.out_file == "-":
         sys.stdout.write(tsv)
     else:
@@ -427,21 +449,23 @@ def build_parser() -> argparse.ArgumentParser:
     def dataset_flags(p):
         p.add_argument("--dataset", help="cognate-set TSV")
         p.add_argument("--proto-column", default=None, help="proto-language column name")
-        p.add_argument("--strip-length", action="store_true", help="drop vowel-length marks")
-        p.add_argument("--orthographic", action="store_true", help="character tokenization")
-        p.add_argument("--split-seed", type=int, default=0, help="train/val/test split seed")
+        p.add_argument("--strip-length", action="store_const", const="true",
+                       help="drop vowel-length marks")
+        p.add_argument("--orthographic", dest="mode", action="store_const",
+                       const="orthographic", help="character tokenization")
+        p.add_argument("--split-seed", help="train/val/test split seed (default 0)")
         p.add_argument("--config", default=None, help="INI config file")
 
     p = sub.add_parser("train", help="train one model per seed")
     dataset_flags(p)
     p.add_argument("--preset", choices=sorted(T.PRESETS), default=None)
-    p.add_argument("--seeds", default="10@0", help="e.g. 0-9, 3, 1,4,7, or N@base")
+    p.add_argument("--seeds", help="e.g. 0-9, 3, 1,4,7, or N@base (default 10@0)")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("evaluate", help="score checkpoints on the test split")
     dataset_flags(p)
-    p.add_argument("--seeds", default="10@0")
+    p.add_argument("--seeds", help="as for train")
     p.add_argument("--checkpoints", default=None, help="directory with seedN.ckpt (default: --out)")
     p.add_argument("--baselines", default="", help="comma list of " + ",".join(BASELINES))
     p.add_argument("--out", required=True)
@@ -450,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="run baselines only")
     dataset_flags(p)
     p.add_argument("--kinds", default="random,pattern,linear")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_baseline)
 
@@ -468,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True)
     p.add_argument("--n-sets", type=int, required=True)
     p.add_argument("--n-daughters", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--out-file", required=True, help="path or - for stdout")
     p.set_defaults(handler=cmd_synth)
 

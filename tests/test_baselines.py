@@ -70,12 +70,15 @@ class TestRandomDaughter:
 class TestSyllableParse:
     def test_cvc_with_tone(self):
         p = B.parse_syllable(("tʰ", "a", "n", "˥˩"))
-        assert p == B.SyllableParse(("tʰ",), ("a",), ("n",), "˥˩")
+        assert p == (("tʰ",), ("a",), ("n",), ("˥˩",))
+
+    def test_toneless_has_empty_tone(self):
+        assert B.parse_syllable(("k", "a", "i")) == (("k",), ("a", "i"), (), ())
 
     def test_roundtrip(self):
         for w in [("k", "u"), ("a",), ("s", "i", "n", "˥"), ("ʈʂ", "u", "ŋ", "˧˥")]:
             p = B.parse_syllable(w)
-            assert p is not None and sum(p.constituents(), ()) == w
+            assert p is not None and len(p) == 4 and sum(p, ()) == w
 
     def test_polysyllable_rejected(self):
         assert B.parse_syllable(("k", "a", "t", "o")) is None
@@ -365,7 +368,7 @@ class TestAlignmentEquivalence:
         def old_reconstruct(cs):
             rows = old_align_daughters(cs, clf.lang_index)
             aset = B.AlignedSet(cs.set_id, rows)
-            labels = [clf.predict(B.column_features(aset, j, clf.cfg))
+            labels = [clf.predict(B.column_features(aset, j))
                       for j in range(aset.n_cols)]
             return tuple(label for label in labels if label != GAP)
 
@@ -410,19 +413,46 @@ class TestClassifiers:
         probe = sites.sets[0]
         for kind in ("pattern", "linear"):
             clf = B.train_site_classifier(sites, kind)
-            assert clf.predict(B.column_features(probe, 0, clf.cfg)) == "t"
+            assert clf.predict(B.column_features(probe, 0)) == "t"
 
     def test_unseen_column_backs_off_to_nearest(self):
-        cfg = B.ContextConfig(use_pos=False, use_str=False, use_ini=False)
         sites = self._sites(
             [(("t", "a"), ("t", "a"), ("z", "a")),
              (("m", "u"), ("m", "u"), ("m", "u"))],
             [("t", "a"), ("m", "u")],
         )
-        clf = B.train_site_classifier(sites, "pattern", cfg)
-        # Hamming distance 2 from the (t,t,z) column, 6 from (m,m,m)
+        clf = B.train_site_classifier(sites, "pattern")
+        # Every stored column has three symbol atoms and three context atoms
+        # (position, prosodic class, initial or final).  The probe has only
+        # its three symbols: Hamming distance 1 + 1 + 3 = 5 from the (t,t,z)
+        # column, 3 + 3 + 3 = 9 from each of the other three.
         near = frozenset({("sym", "A", "t"), ("sym", "B", "t"), ("sym", "C", "s")})
+        stored = B.training_columns(sites)
+        assert sorted(len(atoms ^ near) for atoms, _ in stored) == [5, 9, 9, 9]
         assert clf.predict(near) == "t"
+
+    def test_context_config_has_no_settings(self):
+        # the benchmark still hands one to train_site_classifier, which ignores it
+        with pytest.raises(TypeError):
+            B.ContextConfig(use_pos=False)
+        train, test = sinitic_splits()
+        sites = B.align_cognates(train)
+        for kind in ("pattern", "linear"):
+            given = B.train_site_classifier(sites, kind, B.ContextConfig(), seed=1)
+            default = B.train_site_classifier(sites, kind, seed=1)
+            assert [B.reconstruct_with_classifier(given, cs) for cs in test.sets] == [
+                B.reconstruct_with_classifier(default, cs) for cs in test.sets]
+
+    def test_context_features_are_fixed(self):
+        aset = B.AlignedSet("s", {"A": ["t", "a", GAP], "B": ["d", GAP, "n"]})
+        assert [B.column_features(aset, j) for j in range(3)] == [
+            frozenset({("sym", "A", "t"), ("sym", "B", "d"), ("pos", "first"),
+                       ("str", "consonant"), ("ini", "initial")}),
+            frozenset({("sym", "A", "a"), ("sym", "B", GAP), ("pos", "mid"),
+                       ("str", "vowel")}),
+            frozenset({("sym", "A", GAP), ("sym", "B", "n"), ("pos", "last"),
+                       ("str", "consonant"), ("ini", "final")}),
+        ]
 
     def test_pattern_memorizes_unique_majority_columns(self):
         sites = self._sites(
@@ -433,7 +463,7 @@ class TestClassifiers:
         clf = B.train_site_classifier(sites, "pattern")
         for aset in sites.sets:
             for j in range(aset.n_cols):
-                assert clf.predict(B.column_features(aset, j, clf.cfg)) == aset.proto_row[j]
+                assert clf.predict(B.column_features(aset, j)) == aset.proto_row[j]
 
     def test_linear_reaches_full_accuracy_when_separable(self):
         sites = self._sites(
@@ -442,9 +472,8 @@ class TestClassifiers:
              (("k", "i"), ("k", "i"), ("k", "i"))],
             [("t", "a"), ("p", "u"), ("k", "i")],
         )
-        cfg = B.ContextConfig()
-        clf = B.train_site_classifier(sites, "linear", cfg)
-        columns = B.training_columns(sites, cfg)
+        clf = B.train_site_classifier(sites, "linear")
+        columns = B.training_columns(sites)
         assert all(clf.predict(atoms) == label for atoms, label in columns)
 
     def test_reconstruct_training_item_exactly(self):
@@ -473,7 +502,7 @@ class TestClassifiers:
 
     def test_predict_breaks_ties_to_smallest_label(self):
         atoms = frozenset({("sym", "A", "t")})
-        clf = B.PatternClassifier(B.ContextConfig(), {"A": 0})
+        clf = B.PatternClassifier({"A": 0})
         clf.fit([(atoms, "b"), (atoms, "a")])
         assert clf.predict(atoms) == "a"
 
@@ -552,10 +581,10 @@ def random_columns(seed, labels, n=64, pool=32):
              labels[int(rng.integers(len(labels)))]) for _ in range(n)]
 
 
-def assert_fit_bit_equal(columns, seed=0, cfg=None, lang_index=None):
-    fast = B.LinearClassifier(cfg, lang_index or {}, seed)
+def assert_fit_bit_equal(columns, seed=0, lang_index=None):
+    fast = B.LinearClassifier(lang_index or {}, seed)
     fast.fit(columns)
-    ref = B.LinearClassifier(cfg, lang_index or {}, seed)
+    ref = B.LinearClassifier(lang_index or {}, seed)
     violations = []
     reference_fit(ref, columns, violations)
     assert fast.classes == ref.classes and fast.feature_index == ref.feature_index
@@ -564,12 +593,12 @@ def assert_fit_bit_equal(columns, seed=0, cfg=None, lang_index=None):
     return fast, violations
 
 
-def assert_one_class_fit(columns, seed=0, cfg=None, lang_index=None):
+def assert_one_class_fit(columns, seed=0, lang_index=None):
     """With one class the fit leaves W and b at zero, and predicts what the
     plainly written loop's weights predict."""
-    fast = B.LinearClassifier(cfg, lang_index or {}, seed)
+    fast = B.LinearClassifier(lang_index or {}, seed)
     fast.fit(columns)
-    ref = B.LinearClassifier(cfg, lang_index or {}, seed)
+    ref = B.LinearClassifier(lang_index or {}, seed)
     reference_fit(ref, columns)
     assert fast.classes == ref.classes and len(fast.classes) == 1
     assert fast.feature_index == ref.feature_index
@@ -587,10 +616,8 @@ class TestLinearFitLoop:
     def test_weights_bit_equal(self, corpus_name, seed):
         train = {"sinitic": lambda: sinitic_splits()[0], "synth5": synth5_corpus,
                  "twelve": twelve_daughters}[corpus_name]()
-        cfg = B.ContextConfig()
-        columns = B.training_columns(B.align_cognates(train), cfg)
-        fast, _ = assert_fit_bit_equal(columns, seed, cfg,
-                                       {l.name: l.index for l in train.languages})
+        columns = B.training_columns(B.align_cognates(train))
+        fast, _ = assert_fit_bit_equal(columns, seed, {l.name: l.index for l in train.languages})
         assert np.count_nonzero(fast.W) > 0
 
     @pytest.mark.parametrize("labels", ["one", "two"])
@@ -599,14 +626,13 @@ class TestLinearFitLoop:
         # one class: every column is "x"; two: a vowel against any other symbol
         train = {"sinitic": lambda: sinitic_splits()[0], "twelve": twelve_daughters}[
             corpus_name]()
-        cfg = B.ContextConfig()
         columns = [(atoms, "x" if labels == "one" or corpus.token_class(label) == "vowel"
-                    else "y") for atoms, label in B.training_columns(B.align_cognates(train), cfg)]
+                    else "y") for atoms, label in B.training_columns(B.align_cognates(train))]
         lang_index = {l.name: l.index for l in train.languages}
         if labels == "one":
-            assert_one_class_fit(columns, 1, cfg, lang_index)
+            assert_one_class_fit(columns, 1, lang_index)
         else:
-            fast, _ = assert_fit_bit_equal(columns, 1, cfg, lang_index)
+            fast, _ = assert_fit_bit_equal(columns, 1, lang_index)
             assert len(fast.classes) == 2
 
     @pytest.mark.parametrize("seed, labels", [(150, "x"), (150, "xy"), (3, "xy")])
@@ -622,11 +648,11 @@ class TestLinearFitLoop:
         # at 40 columns.  One class raises too: the bound is checked before
         # its fit returns early.
         monkeypatch.setattr(B.LinearClassifier, "L2", 0.25)
-        below = B.LinearClassifier(None, {}, 0)
+        below = B.LinearClassifier({}, 0)
         below.fit(random_columns(0, labels, n=39))
         assert below.classes == sorted(labels)
         with pytest.raises(B.BaselineError, match="40 aligned columns reach the bound of 40,"):
-            B.LinearClassifier(None, {}, 0).fit(random_columns(0, labels, n=40))
+            B.LinearClassifier({}, 0).fit(random_columns(0, labels, n=40))
 
     @pytest.mark.parametrize("window", [4, 128])
     def test_violations_at_window_edges(self, window, monkeypatch):
@@ -634,8 +660,7 @@ class TestLinearFitLoop:
         # covers a violation at a window's first sample, one at its last and
         # two in one window, the second found after the scan resumes.
         train = sinitic_splits()[0]
-        cfg = B.ContextConfig()
-        columns = B.training_columns(B.align_cognates(train), cfg)
+        columns = B.training_columns(B.align_cognates(train))
         calls = []
         next_violation = B.LinearClassifier._next_violation
 
@@ -646,7 +671,7 @@ class TestLinearFitLoop:
 
         monkeypatch.setattr(B.LinearClassifier, "WINDOW", window)
         monkeypatch.setattr(B.LinearClassifier, "_next_violation", spy)
-        _, violations = assert_fit_bit_equal(columns, 0, cfg,
+        _, violations = assert_fit_bit_equal(columns, 0,
                                              {l.name: l.index for l in train.languages})
         epoch, nominated = -1, []   # (epoch, position, start of its window)
         for start, pos in calls:

@@ -45,10 +45,20 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
+def run_in(directory, args):
+    """``run`` with ``directory`` as the working directory."""
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        return run(args)
+    finally:
+        os.chdir(cwd)
+
+
 def run_fails(args, code, capsys):
     """Runs a command that must exit with ``code`` after one stderr line and
-    leave no ``--out`` behind; returns the line."""
-    out = args[args.index("--out") + 1]
+    leave no ``--out`` (or ``--out-file``) behind; returns the line."""
+    out = args[args.index("--out" if "--out" in args else "--out-file") + 1]
     assert run(args) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:" if code == 2 else "failure:")
@@ -343,6 +353,143 @@ class TestBadCorpusConfig:
                     "--seeds", "1@0", "--out", tmp_path / "out"]) == 0
         echo = (tmp_path / "out" / "config.ini").read_text(encoding="utf-8")
         assert "stress = strip" in echo and "strip_length = true" in echo
+
+
+class TestEchoedConfig:
+    """``config.ini`` as ``train`` echoes it reproduces the run: the same
+    dataset, split, corpus options, transformer settings and seeds."""
+
+    @pytest.fixture(scope="class")
+    def echo(self, workdir):
+        """A two-seed run on split 5, trained from ``workdir`` with the
+        dataset given by a relative path."""
+        ini = workdir / "two_epoch.ini"
+        ini.write_text(TINY_INI.replace("total_epochs = 6", "total_epochs = 2"),
+                       encoding="utf-8")
+        assert run_in(workdir, ["train", "--dataset", "toy.tsv", "--config", ini.name,
+                                "--split-seed", 5, "--seeds", "2@3", "--out", "echo_run"]) == 0
+        return workdir / "echo_run"
+
+    def evaluate(self, workdir, out, *args):
+        assert run_in(workdir, ["evaluate", "--checkpoints", "echo_run", *args,
+                                "--out", out]) == 0
+        return {name: (out / name).read_bytes()
+                for name in ("per_seed.csv", "results.csv", "results.txt")}
+
+    def test_echo_records_the_run(self, echo):
+        text = (echo / "config.ini").read_text(encoding="utf-8")
+        assert "dataset = toy.tsv\n" in text and "split_seed = 5\n" in text
+        assert "[experiment]\nseeds = 3,4\n" in text
+
+    def test_retrains_to_the_same_bytes(self, echo, workdir):
+        assert run_in(workdir, ["train", "--config", "echo_run/config.ini",
+                                "--out", "echo_again"]) == 0
+        names = sorted(p.name for p in echo.iterdir())
+        assert names == sorted(p.name for p in (workdir / "echo_again").iterdir())
+        assert "seed4.ckpt" in names and "config.ini" in names
+        for name in names:
+            assert (workdir / "echo_again" / name).read_bytes() == (echo / name).read_bytes()
+
+    def test_evaluates_the_runs_own_split_and_seeds(self, echo, workdir, tmp_path):
+        echoed = self.evaluate(workdir, tmp_path / "echoed", "--config", "echo_run/config.ini")
+        flags = self.evaluate(workdir, tmp_path / "flags", "--dataset", "toy.tsv",
+                              "--split-seed", 5, "--seeds", "2@3")
+        assert echoed == flags
+
+    def test_a_flag_wins_over_the_file(self, echo, workdir, tmp_path):
+        split0 = self.evaluate(workdir, tmp_path / "split0", "--config",
+                               "echo_run/config.ini", "--split-seed", 0)
+        flags = self.evaluate(workdir, tmp_path / "flags", "--dataset", "toy.tsv",
+                              "--split-seed", 0, "--seeds", "2@3")
+        own = self.evaluate(workdir, tmp_path / "own", "--config", "echo_run/config.ini")
+        assert split0 == flags and split0["results.csv"] != own["results.csv"]
+
+    def test_relative_dataset_resolves_against_the_working_directory(
+            self, echo, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        err = run_fails(["evaluate", "--config", echo / "config.ini", "--checkpoints", echo,
+                         "--out", tmp_path / "out"], 2, capsys)
+        assert "toy.tsv" in err
+
+    def test_percent_in_a_value_reads_back(self, workdir, tmp_path):
+        # values are read as written: no % interpolation on either side
+        tsv = tmp_path / "100% cognates.tsv"
+        tsv.write_bytes((workdir / "toy.tsv").read_bytes())
+        ini = tmp_path / "one_epoch.ini"
+        ini.write_text(TINY_INI.replace("total_epochs = 6", "total_epochs = 1"),
+                       encoding="utf-8")
+        run_dir = tmp_path / "run"
+        assert run(["train", "--dataset", tsv, "--config", ini, "--seeds", "1@0",
+                    "--out", run_dir]) == 0
+        assert f"dataset = {tsv}\n" in (run_dir / "config.ini").read_text(encoding="utf-8")
+        assert run(["train", "--config", run_dir / "config.ini", "--out", tmp_path / "again"]) == 0
+        for name in ("config.ini", "seed0.ckpt"):
+            assert (tmp_path / "again" / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+class TestUnknownConfigInput:
+    @pytest.mark.parametrize("text, named", [
+        ("[corpus]\nstrip_lenght = true\n", "[corpus] option 'strip_lenght'"),
+        ("[Corpus]\nmode = phonetic\n", "section [Corpus]"),
+        ("[DEFAULT]\nmode = orthographic\n", "section [DEFAULT]"),
+        ("[experiment]\nseed = 3\n", "[experiment] option 'seed'"),
+        ("d_modle = 16\n", "[transformer] option 'd_modle'"),
+        ("[corpus]\nsplit_seed = -1\n", "split seed '-1'"),
+        ("[corpus]\nsplit_seed = 18446744073709551616\n", "split seed '18446744073709551616'"),
+        ("[corpus]\nsplit_seed = x\n", "split seed 'x'"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "baseline"])
+    def test_exit_2_with_one_line(self, workdir, tmp_path, capsys, text, named, command):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(TINY_INI + text, encoding="utf-8")   # a bare key joins [transformer]
+        extra = {"train": ["--seeds", "1@0"], "baseline": ["--kinds", "random"],
+                 "evaluate": ["--seeds", "1@0", "--checkpoints", workdir / "run"]}[command]
+        err = run_fails([command, "--dataset", workdir / "toy.tsv", "--config", ini, *extra,
+                         "--out", tmp_path / "out"], 2, capsys)
+        assert named in err
+
+
+class TestSeedOptions:
+    """Every seed option takes an integer from 0 to 2**64 - 1: the
+    generators would reduce any other modulo 2**64."""
+
+    def commands(self, workdir, tmp_path, seed):
+        return {
+            "train --split-seed": ["train", "--dataset", workdir / "toy.tsv", "--config",
+                                   workdir / "tiny.ini", "--seeds", "1@0", "--split-seed", seed,
+                                   "--out", tmp_path / "out"],
+            "synth --seed": ["synth", "--rules", workdir / "rules.txt", "--n-sets", 5,
+                             "--seed", seed, "--out-file", tmp_path / "out.tsv"],
+            "baseline --seed": ["baseline", "--dataset", workdir / "toy.tsv", "--kinds", "random",
+                                "--seed", seed, "--out", tmp_path / "out"],
+            "baseline --split-seed": ["baseline", "--dataset", workdir / "toy.tsv",
+                                      "--kinds", "random", "--split-seed", seed,
+                                      "--out", tmp_path / "out"],
+        }
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "x", "1.5", ""])
+    @pytest.mark.parametrize("option", ["train --split-seed", "synth --seed",
+                                        "baseline --seed", "baseline --split-seed"])
+    def test_outside_exit_2_with_one_line(self, workdir, tmp_path, capsys, option, seed):
+        err = run_fails(self.commands(workdir, tmp_path, seed)[option], 2, capsys)
+        assert err.endswith(f" {seed!r} is not an integer from 0 to 2**64 - 1")
+
+    @pytest.mark.parametrize("option", ["train --split-seed", "synth --seed",
+                                        "baseline --seed", "baseline --split-seed"])
+    def test_top_seed_accepted(self, workdir, tmp_path, option):
+        assert run(self.commands(workdir, tmp_path, str(2**64 - 1))[option]) == 0
+
+    def test_config_split_seed_is_the_flag(self, workdir, tmp_path):
+        top = str(2**64 - 1)
+        ini = tmp_path / "split.ini"
+        ini.write_text(f"[corpus]\nsplit_seed = {top}\n", encoding="utf-8")
+        base = ["baseline", "--dataset", workdir / "toy.tsv", "--kinds", "random,pattern"]
+        assert run(base + ["--config", ini, "--out", tmp_path / "file"]) == 0
+        assert run(base + ["--split-seed", top, "--out", tmp_path / "flag"]) == 0
+        assert run(base + ["--out", tmp_path / "zero"]) == 0
+        results = {name: (tmp_path / name / "results.csv").read_bytes()
+                   for name in ("file", "flag", "zero")}
+        assert results["file"] == results["flag"] != results["zero"]
 
 
 BASELINE_TXT = """\

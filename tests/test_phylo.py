@@ -1,4 +1,5 @@
 import itertools
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -531,3 +532,9 @@ class TestNewick:
         t = P.parse_newick("(A:0.5,B:1.25);")
         lengths = sorted(c.length for c in t.children)
         assert lengths == [0.5, 1.25]
+
+    def test_bundled_romance_gold_tree(self):
+        text = resources.files("protoform.data").joinpath("romance_gold.nwk").read_text("utf-8")
+        t = P.parse_newick(text)
+        assert t.leaf_names() == ["Romanian", "Italian", "French", "Spanish", "Portuguese"]
+        assert P.serialize_newick(t) == text.strip()
