@@ -248,7 +248,7 @@ def _load_trained(checkpoint_dir: str, seeds) -> list:
             out.append(T.TrainedModel.load(prefix))
         except KeyError as exc:
             raise CliInputError(f"cannot load {prefix}: missing entry {exc}")
-        except (E.EngineError, ValueError, TypeError) as exc:
+        except (E.EngineError, ValueError, TypeError, RecursionError) as exc:
             raise CliInputError(f"cannot load {prefix}: {exc}")
     return out
 

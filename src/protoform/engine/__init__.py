@@ -21,7 +21,7 @@ from .ops import (
     transpose,
 )
 from .optim import AdamState, adam_step
-from .rng import DetRng, mix64, philox, stable_hash
+from .rng import DetRng, philox
 from .tensor import (
     EngineError,
     ShapeError,
@@ -32,13 +32,3 @@ from .tensor import (
     set_default_dtype,
     zero_grads,
 )
-
-__all__ = [
-    "AdamState", "DetRng", "EngineError", "OP_KINDS",
-    "ShapeError", "Tensor", "TOLERANCE", "adam_step", "add", "backward",
-    "cross_entropy", "default_dtype", "dropout", "embedding_lookup", "grad_check",
-    "layer_norm", "linear", "load_checkpoint", "masked_fill", "matmul", "mix64",
-    "mul", "no_grad", "philox", "relu", "reshape", "run_suite", "save_checkpoint",
-    "scale", "set_default_dtype", "softmax", "stable_hash", "transpose",
-    "zero_grads",
-]

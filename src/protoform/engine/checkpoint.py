@@ -23,8 +23,6 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray]) -> None:
         if any(ch.isspace() for ch in name):
             raise EngineError(f"checkpoint: tensor name {name!r} contains whitespace")
         arr = np.asarray(tensors[name], dtype="<f8")
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = arr.copy(order="C")
         shape = ",".join(str(d) for d in arr.shape) or "scalar"
         lines.append(f"tensor {name} {shape} {offset} {arr.size}")
         blobs.append(arr.tobytes())

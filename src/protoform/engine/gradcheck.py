@@ -63,6 +63,17 @@ def _case(kind: str, seed: int):
     raise ValueError(f"no grad-check case for op kind {kind!r}")
 
 
+def central_difference(loss, flat: np.ndarray, i: int) -> float:
+    """Central-difference slope of ``loss()`` along ``flat[i]``, which is restored."""
+    orig = flat[i]
+    flat[i] = orig + EPSILON
+    f_plus = loss()
+    flat[i] = orig - EPSILON
+    f_minus = loss()
+    flat[i] = orig
+    return (f_plus - f_minus) / (2 * EPSILON)
+
+
 def grad_check(kind: str, seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -85,13 +96,7 @@ def grad_check(kind: str, seed: int = 0) -> float:
         for x, a in zip(inputs, analytic):
             flat = x.data.reshape(-1)
             for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + EPSILON
-                f_plus = loss()
-                flat[i] = orig - EPSILON
-                f_minus = loss()
-                flat[i] = orig
-                numeric = (f_plus - f_minus) / (2 * EPSILON)
+                numeric = central_difference(loss, flat, i)
                 ai = a.reshape(-1)[i]
                 err = abs(ai - numeric) / max(abs(ai), abs(numeric), 1e-3)
                 worst = max(worst, err)

@@ -91,10 +91,6 @@ class Tensor:
         self.node = Node(self.data.dtype) if requires_grad else None
 
     @property
-    def requires_grad(self) -> bool:
-        return self.node is not None
-
-    @property
     def grad(self):
         return None if self.node is None else self.node.grad
 

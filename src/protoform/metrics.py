@@ -261,7 +261,6 @@ class MetricsReport:
     fer: float | None        # None for orthographic data (no feature table)
     bcfs: float
     breakdown: ErrorBreakdown
-    n: int
 
 
 def evaluate(preds, golds, ft: FeatureTable | None = None) -> MetricsReport:
@@ -284,5 +283,4 @@ def evaluate(preds, golds, ft: FeatureTable | None = None) -> MetricsReport:
         fer=fer,
         bcfs=bcubed_f(preds, golds),
         breakdown=_tally(alignments),
-        n=len(preds),
     )

@@ -208,6 +208,11 @@ def serialize_newick(tree: TreeNode) -> str:
     return walk(tree, None) + ";"
 
 
+# deepest nesting parse_newick accepts; the parser and the tree walks take one
+# to three frames a level, inside Python's default recursion limit of 1000
+MAX_NEWICK_DEPTH = 250
+
+
 def parse_newick(text: str) -> TreeNode:
     """Parse a Newick string; raises PhyloError with the offending position."""
     s = text.strip()
@@ -238,13 +243,15 @@ def parse_newick(text: str) -> TreeNode:
             except ValueError:
                 error(f"bad branch length {s[start:pos]!r}")
 
-    def parse_node():
+    def parse_node(depth):
         nonlocal pos
         node = TreeNode()
         if pos < len(s) and s[pos] == "(":
+            if depth == MAX_NEWICK_DEPTH:
+                error(f"parentheses nest deeper than {MAX_NEWICK_DEPTH}")
             pos += 1
             while True:
-                node.children.append(parse_node())
+                node.children.append(parse_node(depth + 1))
                 if pos >= len(s):
                     error("unbalanced parentheses")
                 if s[pos] == ",":
@@ -264,7 +271,7 @@ def parse_newick(text: str) -> TreeNode:
         parse_length(node)
         return node
 
-    root = parse_node()
+    root = parse_node(0)
     if pos != len(s):
         error("trailing characters")
     names = root.leaf_names()

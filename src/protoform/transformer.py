@@ -313,10 +313,9 @@ class Model:
         x = E.embedding_lookup(self.params["tgt_emb"], tgt_in[:, t:])
         x = E.add(x, E.Tensor(self.pe[t:T]))
         x = drop(x, 2)
-        self_mask = None
-        if cache is None:
-            causal = np.triu(np.ones((T, T), dtype=bool), k=1)
-            self_mask = causal[None, None] | (tgt_in == PAD_ID)[:, None, None, :]
+        # the causal mask alone: PAD only ends a row of ``tgt_in``, so no real
+        # position sees a PAD key, and a PAD position feeds only ignored logits
+        self_mask = np.triu(np.ones((1, 1, T, T), dtype=bool), k=1) if cache is None else None
         cross_mask = src_pad[:, None, None, :]
         for i in range(self.cfg.n_decoder_layers):
             k, v = self._project_kv(x, f"dec{i}.self")
@@ -363,7 +362,7 @@ def greedy_decode(model: Model, examples, max_len: int):
             done = np.zeros(B, dtype=bool)
             for _ in range(max_len):
                 logits = model.decode_batch(memory, ys, batch.src_pad, cache=cache)
-                last = logits.data[:, -1, :].copy()
+                last = logits.data[:, -1, :]   # masked in place: nothing else reads them
                 last[:, banned] = -np.inf
                 nxt = np.argmax(last, axis=-1)
                 nxt[done] = EOS_ID
@@ -463,7 +462,6 @@ def train(model: Model, train_split: Dataset, val_split: Dataset,
         for lo in range(0, n, cfg.batch_size):
             batch = collate([train_enc[i] for i in order[lo:lo + cfg.batch_size]])
             drop = _DropCtx(cfg.seed, step, cfg.dropout_p)
-            E.zero_grads(model.params.values())
             loss = model.loss_batch(batch, drop)
             if not np.isfinite(loss.data):
                 raise E.EngineError(f"training diverged (loss={loss.data}) at epoch {epoch}")

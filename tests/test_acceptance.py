@@ -27,6 +27,7 @@ from protoform import metrics as M
 from protoform import phylo as P
 from protoform import synth as S
 from protoform import transformer as T
+from protoform.engine.gradcheck import central_difference
 from test_phylo import topologies_equal
 
 
@@ -60,7 +61,6 @@ def test_c1_gradient_correctness():
                               weight_decay=0.0, batch_size=4, seed=3)
     model = T.Model(cfg, vocab, ds.languages)
     batch = T.collate(C.encode_dataset(ds, vocab))
-    E.zero_grads(model.params.values())
     E.backward(model.loss_batch(batch))
 
     def loss_value():
@@ -76,13 +76,7 @@ def test_c1_gradient_correctness():
         flat = p.data.reshape(-1)
         i = int(rng.integers(0, flat.size))
         analytic = 0.0 if p.grad is None else float(p.grad.reshape(-1)[i])
-        orig = flat[i]
-        flat[i] = orig + 1e-5
-        fp = loss_value()
-        flat[i] = orig - 1e-5
-        fm = loss_value()
-        flat[i] = orig
-        numeric = (fp - fm) / 2e-5
+        numeric = central_difference(loss_value, flat, i)
         if abs(analytic) < 1e-7 and abs(numeric) < 1e-7:
             continue
         worst_e2e = max(worst_e2e, abs(analytic - numeric) / max(abs(analytic), abs(numeric)))

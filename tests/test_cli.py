@@ -170,6 +170,21 @@ class TestTrainEvaluate:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("command", ["evaluate", "probe"])
+    def test_deeply_nested_sidecar_exit_2(self, workdir, tmp_path, capsys, command):
+        # deeper than the JSON decoder recurses: RecursionError, not a traceback
+        ckpts = self._copy_run(workdir, f"nested_sidecar_{command}")
+        sidecar = json.loads((ckpts / "seed0.json").read_text(encoding="utf-8"))
+        text = json.dumps(dict(sidecar, history="HISTORY"))
+        depth = 100_000
+        (ckpts / "seed0.json").write_text(
+            text.replace('"HISTORY"', "[" * depth + "]" * depth), encoding="utf-8")
+        args = {"evaluate": ["evaluate", "--dataset", workdir / "toy.tsv", "--config",
+                             workdir / "tiny.ini", "--seeds", "1@0"],
+                "probe": ["probe", "--seeds", "1@0"]}[command]
+        err = run_fails(args + ["--checkpoints", ckpts, "--out", tmp_path / "out"], 2, capsys)
+        assert err.startswith(f"error: cannot load {ckpts / 'seed0'}: ")
+
     @pytest.mark.parametrize("case", ["transposed", "extra"])
     def test_mismatched_checkpoint_exit_2(self, workdir, tmp_path, capsys, case):
         ckpts = self._copy_run(workdir, f"mismatched_{case}")
@@ -588,6 +603,34 @@ class TestProbe:
         gold.write_text("((A,B", encoding="utf-8")
         run_fails(["probe", "--checkpoints", workdir / "run", "--seeds", "2@0",
                    "--gold-tree", gold, "--out", tmp_path / "probe_broken"], 2, capsys)
+
+    def test_gold_nesting_bound(self, workdir, tmp_path, capsys):
+        # a clade wrapped in single-child nodes nests as deep as needed
+        def gold(depth):
+            path = tmp_path / f"deep{depth}.nwk"
+            inner = "((Alba,Bruna),(Cara,(Dola,Esta)))"   # depth 3
+            path.write_text("(" * (depth - 3) + inner + ")" * (depth - 3) + ";",
+                            encoding="utf-8")
+            return path
+
+        bound = cli.P.MAX_NEWICK_DEPTH
+        out = tmp_path / "probe_deep"
+        assert run(["probe", "--checkpoints", workdir / "run", "--seeds", "2@0",
+                    "--gold-tree", gold(bound), "--out", out]) == 0
+        flat = workdir / "flat.nwk"
+        flat.write_text("((Alba,Bruna),(Cara,(Dola,Esta)));", encoding="utf-8")
+        assert run(["probe", "--checkpoints", workdir / "run", "--seeds", "2@0",
+                    "--gold-tree", flat, "--out", tmp_path / "probe_flat"]) == 0
+        summary = (out / "summary.txt").read_text(encoding="utf-8")
+        assert "gqd_consensus: " in summary
+        assert summary == (tmp_path / "probe_flat" / "summary.txt").read_text(encoding="utf-8")
+        capsys.readouterr()
+        deeper = gold(bound + 1)
+        err = run_fails(["probe", "--checkpoints", workdir / "run", "--seeds", "2@0",
+                         "--gold-tree", deeper, "--out", tmp_path / "probe_deeper"], 2, capsys)
+        position = deeper.read_text(encoding="utf-8").index("(Dola")
+        assert err == (f"error: cannot parse gold tree: newick at position {position}: "
+                       f"parentheses nest deeper than {bound}")
 
     def test_missing_gold_exit_2(self, workdir, tmp_path, capsys):
         err = run_fails(["probe", "--checkpoints", workdir / "run", "--seeds", "2@0",

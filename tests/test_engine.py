@@ -7,6 +7,7 @@ import pytest
 
 from protoform import engine as E
 from protoform import transformer as T
+from protoform.engine.gradcheck import central_difference
 from protoform.engine.tensor import accumulate, make_node
 
 
@@ -326,13 +327,7 @@ class TestBackward:
             analytic = t.grad.copy()
             flat = t.data.reshape(-1)
             for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + 1e-5
-                fp = float(loss_value().data)
-                flat[i] = orig - 1e-5
-                fm = float(loss_value().data)
-                flat[i] = orig
-                num = (fp - fm) / 2e-5
+                num = central_difference(lambda: float(loss_value().data), flat, i)
                 a = analytic.reshape(-1)[i]
                 assert abs(a - num) / max(abs(a), abs(num), 1e-3) < 1e-4
 
@@ -358,13 +353,7 @@ class TestGradCheckSuite:
             analytic = t.grad.copy()
             flat = t.data.reshape(-1)
             for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + 1e-5
-                fp = float(loss().data)
-                flat[i] = orig - 1e-5
-                fm = float(loss().data)
-                flat[i] = orig
-                num = (fp - fm) / 2e-5
+                num = central_difference(lambda: float(loss().data), flat, i)
                 ai = analytic.reshape(-1)[i]
                 assert abs(ai - num) / max(abs(ai), abs(num), 1e-3) < 1e-4
 
@@ -481,11 +470,11 @@ class TestLinearGradModes:
     def test_grad_mode_is_the_batched_product(self, x_shape, n, dtype):
         x, w, b = self.operands(x_shape, n, dtype)
         out = E.linear(x, w, b)
-        assert out.requires_grad and out.data.dtype == dtype
+        assert out.node is not None and out.data.dtype == dtype
         np.testing.assert_array_equal(bits(out.data), bits(np.matmul(x.data, w.data) + b.data))
         with E.no_grad():
             fast = E.linear(x, w, b)
-        assert not fast.requires_grad and fast.data.shape == out.data.shape
+        assert fast.node is None and fast.data.shape == out.data.shape
         # k products, each at most 1 in size, summed in two orders
         k = x_shape[-1]
         np.testing.assert_allclose(fast.data, out.data, rtol=0, atol=k * k * np.finfo(dtype).eps)
@@ -532,6 +521,21 @@ class TestAdam:
         E.adam_step({"p": p, "q": q}, st, lr=0.5)
         assert list(st.m) == ["q"]
         np.testing.assert_allclose(p.data, [2.0 * (1 - 0.5 * 0.01)], rtol=1e-12)
+
+    def test_applied_gradients_are_cleared(self):
+        params = {"a": param([1.0, -2.0], grad=[0.5, 0.25]), "none": param([3.0]),
+                  "b": param([4.0], grad=[1.0])}
+        E.adam_step(params, E.AdamState(weight_decay=0.01), lr=0.1)
+        assert all(p.grad is None for p in params.values())
+
+    def test_raising_step_leaves_every_gradient(self):
+        grads = {"a": np.array([0.5, 0.25]), "last": np.array([1.0, np.inf])}
+        params = {n: param([1.0, 2.0], grad=g) for n, g in grads.items()}
+        with pytest.raises(E.EngineError, match="'last'"):
+            E.adam_step(params, E.AdamState(), lr=0.1)
+        for name, p in params.items():
+            assert p.grad is grads[name]
+        np.testing.assert_array_equal(grads["a"], [0.5, 0.25])
 
     def test_nan_grad_aborts_with_diagnostics(self):
         p = param([1.0], grad=[np.nan])
@@ -723,7 +727,7 @@ class TestOpSet:
 
     def test_training_step_builds_every_op_kind_but_mul(self, built):
         # ``mul`` stays only because the benchmark's tracer wraps ``E.mul`` by
-        # name, until ROADMAP item 1; any other kind the model never builds
+        # name, until ROADMAP item 1b; any other kind the model never builds
         # is dead code
         assert set(built) == set(E.OP_KINDS) - {"mul"}
 

@@ -10,6 +10,7 @@ from protoform import corpus as C
 from protoform import synth as S
 from protoform import transformer as T
 from protoform.corpus import ParseOptions, TokenizerOptions, build_vocab, parse_dataset
+from protoform.engine.gradcheck import central_difference
 from protoform.engine.rng import philox
 from protoform.engine.tensor import _toposort
 
@@ -176,6 +177,44 @@ class TestDecoder:
             a = float(model.loss_batch(batch).data)
             b = float(model.loss_batch(padded).data)
         assert a == b
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_causal_mask_alone_keeps_the_training_step(self, dtype, monkeypatch):
+        # The decoder's self-attention once also hid PAD keys.  PAD only ends
+        # a row of tgt_in, so under the causal mask no real position sees
+        # one: a Sinitic step on a ragged batch of 32 keeps the bits of its
+        # loss and of every parameter gradient under that older mask.
+        prev = np.dtype(E.default_dtype()).name
+        E.set_default_dtype(dtype)
+        try:
+            ds, vocab, enc = sinitic_test_split(1)
+            batch = T.collate(enc[:32])
+            lengths = (batch.tgt_in != C.PAD_ID).sum(axis=1)
+            assert lengths.min() < lengths.max() == batch.tgt_in.shape[1]
+
+            def step():
+                model = T.Model(T.SINITIC, vocab, ds.languages)
+                loss = model.loss_batch(batch, T._DropCtx(0, 5, T.SINITIC.dropout_p))
+                E.backward(loss)
+                assert model.params["out.w"].grad.dtype == np.dtype(dtype)
+                return loss.data.tobytes(), {n: p.grad.tobytes() for n, p in model.params.items()}
+
+            causal_only = step()
+            real_attend, masks = T.Model._attend, []
+
+            def causal_or_pad(model, q_in, kv, fill_mask, prefix, drop, site):
+                if prefix.startswith("dec") and prefix.endswith(".self"):
+                    n = batch.tgt_in.shape[1]
+                    assert np.array_equal(fill_mask, np.triu(np.ones((1, 1, n, n), bool), k=1))
+                    fill_mask = fill_mask | (batch.tgt_in == C.PAD_ID)[:, None, None, :]
+                    masks.append(prefix)
+                return real_attend(model, q_in, kv, fill_mask, prefix, drop, site)
+
+            monkeypatch.setattr(T.Model, "_attend", causal_or_pad)
+            assert step() == causal_only
+            assert len(masks) == T.SINITIC.n_decoder_layers
+        finally:
+            E.set_default_dtype(prev)
 
     def test_pad_memory_rows_get_zero_attention(self, toy):
         ds, vocab = toy
@@ -590,7 +629,6 @@ class TestEndToEndGradient:
             with E.no_grad():
                 return float(model.loss_batch(batch).data)
 
-        E.zero_grads(model.params.values())
         E.backward(model.loss_batch(batch))
 
         rng = philox(1234)
@@ -604,13 +642,7 @@ class TestEndToEndGradient:
             flat = p.data.reshape(-1)
             i = int(rng.integers(0, flat.size))
             analytic = 0.0 if p.grad is None else p.grad.reshape(-1)[i]
-            orig = flat[i]
-            flat[i] = orig + 1e-5
-            fp = loss_value()
-            flat[i] = orig - 1e-5
-            fm = loss_value()
-            flat[i] = orig
-            numeric = (fp - fm) / 2e-5
+            numeric = central_difference(loss_value, flat, i)
             if abs(analytic) < 1e-7 and abs(numeric) < 1e-7:
                 continue  # unused parameter entry (e.g. never-seen token row)
             assert abs(analytic - numeric) / max(abs(analytic), abs(numeric)) < 1e-3, name
