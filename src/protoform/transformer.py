@@ -10,15 +10,17 @@ edit distance; inference is greedy.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import reprlib
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import engine as E
 from .corpus import (
-    BOS_ID, EOS_ID, PAD_ID, UNK_ID,
+    BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID,
     Dataset, LanguageId, Vocabulary, encode_dataset,
 )
 from .engine.rng import DetRng, mix64, philox
@@ -92,15 +94,18 @@ SINITIC = TransformerConfig(
 PRESETS = {"romance": ROMANCE, "sinitic": SINITIC}
 
 
-def sinusoid_table(n_positions: int, d_model: int) -> np.ndarray:
-    """PE[p, 2i] = sin(p / 10000^(2i/d)), PE[p, 2i+1] = cos(same angle); an
-    odd ``d_model`` ends in a sine column."""
+@functools.cache
+def sinusoid_table(n_positions: int, d_model: int, dtype=np.float64) -> np.ndarray:
+    """PE[p, 2i] = sin(p / 10000^(2i/d)), PE[p, 2i+1] = cos(same angle),
+    computed in float64; an odd ``d_model`` ends in a sine column.  Cached:
+    every model of a width and dtype reads the same read-only table."""
     pos = np.arange(n_positions, dtype=np.float64)[:, None]
     i = np.arange(0, d_model, 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, i / d_model)
-    table = np.zeros((n_positions, d_model))
+    table = np.zeros((n_positions, d_model), dtype)
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle[:, :d_model // 2])
+    table.flags.writeable = False
     return table
 
 
@@ -157,77 +162,67 @@ _EVAL = _DropCtx(seed=0, step=0, p=0.0)
 class Model:
     """Parameter container plus the forward passes."""
 
-    def __init__(self, cfg: TransformerConfig, vocab: Vocabulary, languages):
+    def __init__(self, cfg: TransformerConfig, vocab: Vocabulary, languages, state=None):
+        """``state``, a checkpoint's tensors, stands in for the seed's draw."""
         self.cfg = cfg
         self.vocab = vocab
         self.languages = list(languages)
-        self.pe = sinusoid_table(MAX_SOURCE_LEN, cfg.d_model).astype(E.default_dtype())
-        self.params: dict[str, E.Tensor] = {}
-        self._init_params()
+        self.dtype = E.default_dtype()
+        self.pe = sinusoid_table(MAX_SOURCE_LEN, cfg.d_model, self.dtype)
+        self.load_state(self._initial_state() if state is None else state)
 
-    # -- construction ---------------------------------------------------
+    # -- parameters -------------------------------------------------------
 
-    def _init_params(self):
-        cfg = self.cfg
-        d, dff = cfg.d_model, cfg.d_feedforward
-        rng = philox(0x1217, cfg.seed)
-        bound = 1.0 / np.sqrt(d)
+    def param_table(self) -> list:
+        """Every parameter as (name, shape, init), in the order of the seed's
+        draw and of the checkpoint manifest; ``init`` is "uniform", "zeros"
+        or "ones"."""
+        cfg, d, f = self.cfg, self.cfg.d_model, self.cfg.d_feedforward
+        n_target = self.vocab.n_target
+        attention = ([(f"w{p}", (d, d), "uniform") for p in "qkvo"]
+                     + [(f"b{p}", (d,), "zeros") for p in "qkvo"])
+        norm = [("g", (d,), "ones"), ("b", (d,), "zeros")]
+        ff = [("w1", (d, f), "uniform"), ("b1", (f,), "zeros"),
+              ("w2", (f, d), "uniform"), ("b2", (d,), "zeros")]
+        layers = {"enc": [("attn", attention), ("ln1", norm), ("ff", ff), ("ln2", norm)],
+                  "dec": [("self", attention), ("ln1", norm), ("cross", attention), ("ln2", norm),
+                          ("ff", ff), ("ln3", norm)]}
+        table = [("src_emb", (self.vocab.n_source, d), "uniform"),
+                 ("tgt_emb", (n_target, d), "uniform"),
+                 ("lang_emb", (len(self.languages), d), "uniform")]
+        for stack, n in (("enc", cfg.n_encoder_layers), ("dec", cfg.n_decoder_layers)):
+            table += [(f"{stack}{i}.{part}.{name}", shape, init) for i in range(n)
+                      for part, params in layers[stack] for name, shape, init in params]
+        return table + [("out.w", (d, n_target), "uniform"), ("out.b", (n_target,), "zeros")]
 
-        def weight(name, *shape):
-            self.params[name] = E.Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
-
-        def bias(name, n):
-            self.params[name] = E.Tensor(np.zeros(n), requires_grad=True)
-
-        def norm(name, n):
-            self.params[f"{name}.g"] = E.Tensor(np.ones(n), requires_grad=True)
-            self.params[f"{name}.b"] = E.Tensor(np.zeros(n), requires_grad=True)
-
-        def attention(prefix):
-            for part in ("wq", "wk", "wv", "wo"):
-                weight(f"{prefix}.{part}", d, d)
-            for part in ("bq", "bk", "bv", "bo"):
-                bias(f"{prefix}.{part}", d)
-
-        weight("src_emb", self.vocab.n_source, d)
-        weight("tgt_emb", self.vocab.n_target, d)
-        weight("lang_emb", len(self.languages), d)
-        for i in range(cfg.n_encoder_layers):
-            attention(f"enc{i}.attn")
-            norm(f"enc{i}.ln1", d)
-            weight(f"enc{i}.ff.w1", d, dff)
-            bias(f"enc{i}.ff.b1", dff)
-            weight(f"enc{i}.ff.w2", dff, d)
-            bias(f"enc{i}.ff.b2", d)
-            norm(f"enc{i}.ln2", d)
-        for i in range(cfg.n_decoder_layers):
-            attention(f"dec{i}.self")
-            norm(f"dec{i}.ln1", d)
-            attention(f"dec{i}.cross")
-            norm(f"dec{i}.ln2", d)
-            weight(f"dec{i}.ff.w1", d, dff)
-            bias(f"dec{i}.ff.b1", dff)
-            weight(f"dec{i}.ff.w2", dff, d)
-            bias(f"dec{i}.ff.b2", d)
-            norm(f"dec{i}.ln3", d)
-        weight("out.w", d, self.vocab.n_target)
-        bias("out.b", self.vocab.n_target)
+    def _initial_state(self) -> dict:
+        """One uniform(-1/sqrt(d_model), 1/sqrt(d_model)) draw per weight, in
+        table order from the seed's Philox stream, each cast to the model's
+        dtype as soon as it is drawn; zeros and ones besides."""
+        rng = philox(0x1217, self.cfg.seed)
+        bound = 1.0 / np.sqrt(self.cfg.d_model)
+        return {name: rng.uniform(-bound, bound, shape).astype(self.dtype, copy=False)
+                if init == "uniform" else getattr(np, init)(shape, self.dtype)
+                for name, shape, init in self.param_table()}
 
     def state(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state(self, state: dict) -> None:
-        """Adopt ``state``, which must name exactly this model's parameters,
-        each with its shape."""
-        extra = sorted(set(state) - set(self.params))
-        if extra:
-            raise E.EngineError(f"unknown parameter(s) {', '.join(extra)}")
-        for name, t in self.params.items():
-            data = np.asarray(state[name], dtype=t.data.dtype)
-            if data.shape != t.data.shape:
+        """Adopt ``state``, which must name exactly the table's parameters,
+        each with its shape; on a mismatch nothing changes."""
+        table = self.param_table()
+        names = {name for name, _, _ in table}
+        for what, odd in (("unknown", set(state) - names), ("missing", names - set(state))):
+            if odd:
+                raise E.EngineError(f"{what} parameter(s) {', '.join(sorted(odd))}")
+        params = {}
+        for name, shape, _ in table:
+            t = params[name] = E.Tensor(state[name], requires_grad=True, dtype=self.dtype)
+            if t.data.shape != shape:
                 raise E.EngineError(
-                    f"parameter {name} has shape {data.shape}, the model's is {t.data.shape}")
-            t.data = data
+                    f"parameter {name} has shape {t.data.shape}, the model's is {shape}")
+        self.params = params
 
     # -- layers -----------------------------------------------------------
 
@@ -308,6 +303,8 @@ class Model:
         newest position sees every cached one: no self-attention mask.
         """
         T = tgt_in.shape[1]
+        if T > MAX_SOURCE_LEN:
+            raise E.EngineError(f"target length {T} exceeds maximum {MAX_SOURCE_LEN}")
         cached = bool(cache)  # decided once: the loop below fills an empty cache
         t = cache[0][1].data.shape[2] if cached else 0   # values are (B, H, t, dh)
         x = E.embedding_lookup(self.params["tgt_emb"], tgt_in[:, t:])
@@ -386,6 +383,29 @@ def extract_language_embeddings(model: Model) -> dict:
     return {lang: table[lang.index].copy() for lang in model.languages}
 
 
+def _distinct_strings(value) -> bool:
+    return (type(value) is list and all(type(v) is str for v in value)
+            and len(set(value)) == len(value))
+
+
+_TOKEN_LIST = (lambda v: _distinct_strings(v) and tuple(v[:len(SPECIALS)]) == SPECIALS,
+               f"a list of distinct strings starting with {', '.join(SPECIALS)}")
+# what ``TrainedModel.load`` accepts for each sidecar key but ``config``
+_SIDECAR = {
+    "max_decode_len": (lambda v: type(v) is int and 1 <= v <= MAX_SOURCE_LEN,
+                       f"an integer from 1 to {MAX_SOURCE_LEN}"),
+    "languages": (_distinct_strings, "a list of distinct strings"),
+    "source_tokens": _TOKEN_LIST,
+    "target_tokens": _TOKEN_LIST,
+    "best_epoch": (lambda v: type(v) is int and v >= 0, "an integer of at least 0"),
+    "best_val_ped": (lambda v: type(v) in (int, float) and 0 <= v < math.inf,
+                     "a finite number of at least 0"),
+    "history": (lambda v: type(v) is list and all(type(row) is dict for row in v),
+                "a list of objects"),
+    "proto_name": (lambda v: type(v) is str, "a string"),
+}
+
+
 @dataclass
 class TrainedModel:
     model: Model
@@ -417,21 +437,18 @@ class TrainedModel:
     def load(cls, prefix: str) -> "TrainedModel":
         with open(prefix + ".json", encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        max_len = sidecar["max_decode_len"]
-        if type(max_len) is not int or max_len < 1:
-            raise E.EngineError(f"max_decode_len {max_len!r} is not an integer of at least 1")
-        names = sidecar["languages"]
-        if (type(names) is not list or not all(type(n) is str for n in names)
-                or len(set(names)) != len(names)):
-            raise E.EngineError(f"languages {names!r} is not a list of distinct strings")
+        if type(sidecar) is not dict:
+            raise E.EngineError("sidecar is not a JSON object")
+        sidecar.setdefault("proto_name", "")
+        for key, (ok, what) in _SIDECAR.items():
+            if not ok(sidecar[key]):
+                raise E.EngineError(f"{key} {reprlib.repr(sidecar[key])} is not {what}")
         cfg = TransformerConfig(**sidecar["config"])
         vocab = Vocabulary(sidecar["source_tokens"], sidecar["target_tokens"])
-        languages = [LanguageId(name, i) for i, name in enumerate(names)]
-        model = Model(cfg, vocab, languages)
-        model.load_state(E.load_checkpoint(prefix + ".ckpt"))
+        languages = [LanguageId(name, i) for i, name in enumerate(sidecar["languages"])]
+        model = Model(cfg, vocab, languages, state=E.load_checkpoint(prefix + ".ckpt"))
         return cls(model, cfg, vocab, sidecar["history"], sidecar["best_epoch"],
-                   sidecar["best_val_ped"], max_len,
-                   sidecar.get("proto_name", ""))
+                   sidecar["best_val_ped"], sidecar["max_decode_len"], sidecar["proto_name"])
 
 
 def train(model: Model, train_split: Dataset, val_split: Dataset,
@@ -448,7 +465,10 @@ def train(model: Model, train_split: Dataset, val_split: Dataset,
     train_enc = encode_dataset(train_split, vocab)
     val_enc = encode_dataset(val_split, vocab)
     val_gold = [cs.proto for cs in val_split.sets]
-    max_decode = max(20, 2 * max(len(cs.proto) for cs in train_split.sets))
+    longest = max(len(cs.proto) for cs in train_split.sets)
+    if longest > MAX_SOURCE_LEN - 1:   # BOS and the proto fill the decoder's positions
+        raise E.EngineError(f"proto length {longest} exceeds maximum {MAX_SOURCE_LEN - 1}")
+    max_decode = min(MAX_SOURCE_LEN, max(20, 2 * longest))
     adam = AdamState(weight_decay=cfg.weight_decay)
     step = 0
     best_ped, best_epoch, best_state = np.inf, -1, None

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -185,21 +186,24 @@ class TestTrainEvaluate:
         err = run_fails(args + ["--checkpoints", ckpts, "--out", tmp_path / "out"], 2, capsys)
         assert err.startswith(f"error: cannot load {ckpts / 'seed0'}: ")
 
-    @pytest.mark.parametrize("case", ["transposed", "extra"])
+    @pytest.mark.parametrize("case", ["transposed", "extra", "missing"])
     def test_mismatched_checkpoint_exit_2(self, workdir, tmp_path, capsys, case):
         ckpts = self._copy_run(workdir, f"mismatched_{case}")
         state = E.load_checkpoint(str(ckpts / "seed0.ckpt"))
         if case == "transposed":
             state["enc0.ff.w1"] = state["enc0.ff.w1"].T
+        elif case == "missing":
+            del state["enc0.ff.w1"]
         else:
             state["bogus"] = np.zeros(3)
         E.save_checkpoint(str(ckpts / "seed0.ckpt"), state)
         err = run_fails(["evaluate", "--dataset", workdir / "toy.tsv", "--config",
                          workdir / "tiny.ini", "--seeds", "1@0", "--checkpoints", ckpts,
                          "--out", tmp_path / "eval"], 2, capsys)
-        assert ("enc0.ff.w1" if case == "transposed" else "bogus") in err
+        assert ("bogus" if case == "extra" else "enc0.ff.w1") in err
 
-    @pytest.mark.parametrize("value", ["x", None, 0, True])
+    # 1,025 and more would decode past the positional table's last row
+    @pytest.mark.parametrize("value", ["x", None, 0, True, 1025, 1100])
     def test_bad_max_decode_len_exit_2(self, workdir, tmp_path, capsys, value):
         ckpts = self._copy_run(workdir, f"max_decode_len_{value}")
         sidecar = json.loads((ckpts / "seed0.json").read_text(encoding="utf-8"))
@@ -255,6 +259,57 @@ class TestTrainEvaluate:
             lambda sidecar: sidecar.update(languages=self.LANGUAGES[case]))
         assert "languages" in err
 
+    # key: edit of its value, each of which the sidecar check rejects
+    SIDECAR_EDITS = {
+        "best_epoch-string": ("best_epoch", lambda v: "x"),
+        "best_epoch-negative": ("best_epoch", lambda v: -1),
+        "best_epoch-float": ("best_epoch", lambda v: 1.0),
+        "best_val_ped-string": ("best_val_ped", lambda v: str(v)),
+        "best_val_ped-negative": ("best_val_ped", lambda v: -0.5),
+        "best_val_ped-nan": ("best_val_ped", lambda v: math.nan),
+        "best_val_ped-inf": ("best_val_ped", lambda v: math.inf),
+        "history-int": ("history", lambda v: 5),
+        "history-of-lists": ("history", lambda v: [list(row.values()) for row in v]),
+        "proto_name-int": ("proto_name", lambda v: 5),
+        "source_tokens-ints": ("source_tokens", lambda v: list(range(len(v)))),
+        "source_tokens-repeated": ("source_tokens", lambda v: v[:1] + v[:-1]),
+        "source_tokens-reversed": ("source_tokens", lambda v: v[::-1]),
+        "target_tokens-ints": ("target_tokens", lambda v: list(range(len(v)))),
+        "target_tokens-repeated": ("target_tokens", lambda v: v[:1] + v[:-1]),
+        "target_tokens-reversed": ("target_tokens", lambda v: v[::-1]),
+    }
+
+    @pytest.mark.parametrize("command", ["evaluate", "probe"])
+    @pytest.mark.parametrize("case", sorted(SIDECAR_EDITS))
+    def test_bad_sidecar_field_exit_2(self, workdir, tmp_path, capsys, case, command):
+        key, edit = self.SIDECAR_EDITS[case]
+        name = f"sidecar_{case}_{command}"
+        err = self._fails_on_sidecar(workdir, tmp_path, capsys, command, name,
+                                     lambda sidecar: sidecar.update({key: edit(sidecar[key])}))
+        assert err.startswith(f"error: cannot load {workdir / name / 'seed0'}: {key} ")
+        assert " is not " in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "probe"])
+    def test_sidecar_not_an_object_exit_2(self, workdir, tmp_path, capsys, command):
+        ckpts = self._copy_run(workdir, f"sidecar_list_{command}")
+        text = (ckpts / "seed0.json").read_text(encoding="utf-8")
+        (ckpts / "seed0.json").write_text(f"[{text}]", encoding="utf-8")
+        err = self._fails_on(workdir, tmp_path, capsys, command, ckpts)
+        assert err == f"error: cannot load {ckpts / 'seed0'}: sidecar is not a JSON object"
+
+    @pytest.mark.parametrize("command", ["evaluate", "probe"])
+    def test_sidecar_without_proto_name_loads(self, workdir, tmp_path, command):
+        ckpts = self._copy_run(workdir, f"no_proto_name_{command}")
+        sidecar = json.loads((ckpts / "seed0.json").read_text(encoding="utf-8"))
+        del sidecar["proto_name"]
+        (ckpts / "seed0.json").write_text(json.dumps(sidecar), encoding="utf-8")
+        if command == "evaluate":
+            args = ["evaluate", "--dataset", workdir / "toy.tsv", "--config",
+                    workdir / "tiny.ini", "--seeds", "1@0", "--checkpoints", ckpts]
+        else:
+            args = ["probe", "--checkpoints", ckpts, "--seeds", "1@0"]
+        assert run(args + ["--out", tmp_path / command]) == 0
+
     CONFIG_TYPES = {"n_heads": True, "batch_size": True, "d_model": 16.0, "lr": "0.001"}
 
     @pytest.mark.parametrize("command", ["evaluate", "probe"])
@@ -266,6 +321,57 @@ class TestTrainEvaluate:
             lambda sidecar: sidecar["config"].update({key: value}))
         kind = "a number" if key == "lr" else "an integer"
         assert err.endswith(f": {key} {value!r} is not {kind}")
+
+
+LONG_INI = """\
+[transformer]
+d_model = 8
+n_heads = 1
+n_encoder_layers = 1
+n_decoder_layers = 1
+d_feedforward = 8
+dropout_p = 0
+warmup_epochs = 0
+total_epochs = 1
+batch_size = 1
+"""
+
+
+class TestPositionalLimits:
+    """The decoder reads one positional row per position: BOS and a proto
+    of at most 1,023 tokens in training, and at most 1,024 greedy steps."""
+
+    @staticmethod
+    def train(tmp_path, n_tokens):
+        """Trains one seed on ten sets whose protos hold ``n_tokens`` each;
+        returns the exit code and the run directory."""
+        proto = "pa" * (n_tokens // 2) + "p" * (n_tokens % 2)
+        tsv = tmp_path / "long.tsv"
+        tsv.write_text("\n".join(["set_id\tA\tB\tP"]
+                                 + [f"s{i}\tpa\tta\t{proto}" for i in range(10)]) + "\n",
+                       encoding="utf-8")
+        ini = tmp_path / "long.ini"
+        ini.write_text(LONG_INI, encoding="utf-8")
+        out = tmp_path / "run"
+        return run(["train", "--dataset", tsv, "--config", ini, "--seeds", "1@0",
+                    "--out", out]), out
+
+    def test_longest_proto_trains_and_evaluates(self, tmp_path):
+        code, out = self.train(tmp_path, 1023)
+        assert code == 0
+        sidecar = json.loads((out / "seed0.json").read_text(encoding="utf-8"))
+        assert sidecar["max_decode_len"] == 1024   # 2 x 1,023, capped at the table
+        assert run(["evaluate", "--dataset", tmp_path / "long.tsv", "--config",
+                    tmp_path / "long.ini", "--seeds", "1@0", "--checkpoints", out,
+                    "--out", tmp_path / "eval"]) == 0
+
+    @pytest.mark.parametrize("n_tokens", [1024, 1120])
+    def test_longer_proto_exit_1_with_one_line(self, tmp_path, capsys, n_tokens):
+        code, out = self.train(tmp_path, n_tokens)
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"failure: proto length {n_tokens} exceeds maximum 1023"]
+        assert not (out / "seed0.ckpt").exists()
 
 
 class TestNotUtf8:

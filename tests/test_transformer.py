@@ -1,4 +1,5 @@
 import functools
+import hashlib
 from dataclasses import replace
 from importlib import resources
 
@@ -289,6 +290,18 @@ class TestGreedyDecode:
         assert len(passes) > chunks
         assert built.count("masked_fill") == (chunks * cfg.n_encoder_layers
                                               + len(passes) * cfg.n_decoder_layers)
+
+    def test_past_the_positional_table_raises(self, toy):
+        # Greedy decoding asks for position 1,024 at its 1,025th step, one
+        # past the table: an EngineError, not an empty slice broadcast away.
+        ds, vocab = toy
+        model = T.Model(TINY, vocab, ds.languages)
+        model.params["out.b"].data[C.EOS_ID] = -1e9  # EOS never wins
+        enc = C.encode_dataset(ds, vocab)[:1]
+        assert len(T.greedy_decode(model, enc, max_len=T.MAX_SOURCE_LEN)[0]) == T.MAX_SOURCE_LEN
+        with pytest.raises(E.EngineError, match=f"target length {T.MAX_SOURCE_LEN + 1} "
+                                                f"exceeds maximum {T.MAX_SOURCE_LEN}"):
+            T.greedy_decode(model, enc, max_len=T.MAX_SOURCE_LEN + 1)
 
 
 class TestDecodeGolden:
@@ -612,6 +625,97 @@ class TestCheckpointRoundTrip:
         assert loaded.source_index == built.source_index
         assert loaded.target_index == built.target_index
         assert [loaded.tgt_id(t) for t in built.target_tokens] == list(range(built.n_target))
+
+
+class TestParameterTable:
+    # sha256 over (name, shape, dtype) and the bytes of every array of
+    # ``Model.state()``, in order, for random-init models on the toy
+    # vocabulary; recorded when each parameter kind had its own constructor
+    DIGESTS = {
+        ("TINY", 0, "float64"): "76ba21b9632a4c769c392e79",
+        ("TINY", 1, "float64"): "d0e79e6f2654459c58dd2a48",
+        ("ROMANCE", 0, "float64"): "a18ec0f45b2af49ba849814e",
+        ("ROMANCE", 1, "float64"): "dd3d2a63323cb6b5e5bc2d5d",
+        ("SINITIC", 0, "float64"): "f38fadc3c799743efadc4b3c",
+        ("SINITIC", 1, "float64"): "785d0c68a9037445d7bf1a9f",
+        ("TINY", 0, "float32"): "96eb829d5eafa6c85e960b87",
+        ("TINY", 1, "float32"): "fcb930a7a6017352ec49cb7c",
+        ("ROMANCE", 0, "float32"): "88990574417a6383b1d80d42",
+        ("ROMANCE", 1, "float32"): "1b036fa3b6070647a9739e32",
+        ("SINITIC", 0, "float32"): "276b7835ba5088490a5e458d",
+        ("SINITIC", 1, "float32"): "c0574494f882485f69c9f820",
+    }
+
+    @pytest.fixture(params=["float64", "float32"])
+    def dtype(self, request):
+        prev = np.dtype(E.default_dtype()).name
+        E.set_default_dtype(request.param)
+        yield request.param
+        E.set_default_dtype(prev)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("preset", ["TINY", "ROMANCE", "SINITIC"])
+    def test_initial_state_matches_recorded(self, toy, dtype, preset, seed):
+        ds, vocab = toy
+        cfg = {"TINY": TINY, "ROMANCE": T.ROMANCE, "SINITIC": T.SINITIC}[preset]
+        model = T.Model(cfg.with_seed(seed), vocab, ds.languages)
+        digest = hashlib.sha256()
+        for name, arr in model.state().items():
+            digest.update(f"{name} {arr.shape} {arr.dtype.str}\n".encode())
+            digest.update(arr.tobytes())
+        assert digest.hexdigest()[:24] == self.DIGESTS[preset, seed, dtype]
+
+    def test_load_draws_nothing(self, toy, tmp_path, monkeypatch):
+        ds, vocab = toy
+        model = T.Model(TINY, vocab, ds.languages)
+        prefix = str(tmp_path / "seed3")
+        T.TrainedModel(model, TINY, vocab, [], 0, 0.0, 20).save(prefix)
+        keys = []
+        real = np.random.Philox
+
+        def spy(*args, **kwargs):
+            keys.append(kwargs.get("key"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", spy)
+        loaded = T.TrainedModel.load(prefix)
+        assert keys == []
+        for name, arr in model.state().items():
+            np.testing.assert_array_equal(loaded.model.params[name].data, arr, err_msg=name)
+        T.Model(TINY, vocab, ds.languages)   # the spy sees a random init's one stream
+        assert len(keys) == 1
+
+    @pytest.mark.parametrize("case", ["extra", "missing", "shape"])
+    def test_load_state_names_the_parameter(self, toy, case):
+        ds, vocab = toy
+        model = T.Model(TINY, vocab, ds.languages)
+        before = model.state()
+        state = model.state()
+        if case == "extra":
+            state["enc0.attn.wz"] = np.zeros(3)
+        elif case == "missing":
+            del state["enc0.attn.wq"]
+        else:
+            state["enc0.attn.wq"] = state["enc0.attn.wq"][:, :-1]
+        message = {"extra": "unknown parameter(s) enc0.attn.wz",
+                   "missing": "missing parameter(s) enc0.attn.wq",
+                   "shape": "parameter enc0.attn.wq has shape (32, 31), the model's is (32, 32)"}
+        with pytest.raises(E.EngineError) as exc:
+            model.load_state(state)
+        assert str(exc.value) == message[case]
+        for name, arr in before.items():   # nothing changed
+            np.testing.assert_array_equal(model.params[name].data, arr, err_msg=name)
+
+    def test_models_share_one_positional_table(self, toy, dtype):
+        ds, vocab = toy
+        a = T.Model(TINY, vocab, ds.languages)
+        b = T.Model(replace(TINY, n_heads=8, seed=9), vocab, ds.languages[:1])
+        assert a.pe is b.pe and a.pe.dtype == np.dtype(dtype)
+        assert not a.pe.flags.writeable
+        assert T.Model(replace(TINY, d_model=16), vocab, ds.languages).pe is not a.pe
+        # float64 angles, cast once to the model's dtype
+        np.testing.assert_array_equal(
+            a.pe, T.sinusoid_table.__wrapped__(T.MAX_SOURCE_LEN, 32).astype(dtype))
 
 
 class TestEndToEndGradient:

@@ -36,6 +36,10 @@ tree's ``src/``, each in a fresh directory:
   ``train --preset romance`` on them: the only steps at the presets'
   shapes (``d_model`` 128; Sinitic's ``d_feedforward`` 647 and batch 32
   with a partial last batch, Romance's batch 1 with 3 + 3 layers);
+- a float32 ``evaluate`` of the Sinitic-preset checkpoint through the
+  ``config.ini`` its ``train`` echoed: the only step that loads a preset's
+  checkpoint, and the only one that loads a checkpoint in another dtype
+  than it was trained in, as the ``evaluate`` benchmark does;
 - ``gradcheck``, whose stdout prints every op's worst relative error.
 
 Every file written and every command's stdout are compared byte for byte.
@@ -188,6 +192,9 @@ STEPS = [
                            "--seed", "3", "--out-file", "sinitic60.tsv"]),
     ("train-sinitic", {}, ["train", "--dataset", "sinitic60.tsv", "--preset", "sinitic",
                            "--config", "one_epoch.ini", "--seeds", "1@0", "--out", "sinitic"]),
+    ("evaluate-sinitic-float32", {"PROTOFORM_DTYPE": "float32"},
+     ["evaluate", "--config", "sinitic/config.ini", "--checkpoints", "sinitic",
+      "--baselines", "random", "--out", "sinitic_eval32"]),
     ("synth-romance", {}, ["synth", "--rules", "{data}/synth5.rules", "--n-sets", "60",
                            "--seed", "3", "--out-file", "romance60.tsv"]),
     ("train-romance", {}, ["train", "--dataset", "romance60.tsv", "--preset", "romance",
