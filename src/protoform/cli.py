@@ -72,7 +72,18 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     """The INI file at ``path``, read as written: no ``%`` interpolation, no [DEFAULT]."""
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     if path:
-        cp.read_string(_read_text(path), source=path)
+        text = _read_text(path)
+        try:
+            cp.read_string(text, source=path)
+        except configparser.ParsingError as exc:
+            # configparser's own text spans several lines; name the first bad one
+            if isinstance(exc, configparser.MissingSectionHeaderError):
+                lineno, reason = exc.lineno, "comes before any [section] header"
+            else:
+                lineno = exc.errors[0][0]
+                reason = "is not a [section] header or a key = value line"
+            line = text.split("\n")[lineno - 1].strip()   # as read_string numbers lines
+            raise CliInputError(f"{path}, line {lineno}: {line!r} {reason}")
     for name in cp.sections():
         if name not in SECTIONS:
             raise CliInputError(f"unknown section [{name}] in {path}; choose from {', '.join(SECTIONS)}")

@@ -8,6 +8,7 @@ from .ops import (
     add,
     cross_entropy,
     dropout,
+    dropout_matmul,
     embedding_lookup,
     layer_norm,
     linear,

@@ -53,6 +53,8 @@ def _case(kind: str, seed: int):
         return [x], {}
     if kind == "dropout":
         return [t(3, 4)], {"p": 0.3, "key": (11, seed, 0)}
+    if kind == "dropout_matmul":
+        return [t(2, 3, 4), t(2, 4, 3)], {"p": 0.3, "key": (11, seed, 0)}
     if kind == "masked_fill":
         mask = philox(2, seed).random((3, 4)) < 0.4
         return [t(3, 4)], {"mask": mask, "value": 0.7}

@@ -218,42 +218,79 @@ def relu(a: Tensor) -> Tensor:
     return make_node(out, "relu", (a,), bwd)
 
 
-def dropout(a: Tensor, p: float, key: tuple) -> Tensor:
-    """Inverted dropout with a counter-based mask.
-
-    ``key`` is a tuple of ints, conventionally (run seed, dropout-site id,
-    step); the mask is a pure function of it, so replaying a step
-    reproduces the mask exactly.  ``p == 0`` (eval mode) is the identity
-    and returns ``a`` itself.  The closure keeps the boolean mask, not a float copy.
+def _keep_mask(x: np.ndarray, p: float, key: tuple):
+    """Dropout's boolean keep mask over ``x`` and its scale ``1 / (1 - p)``
+    in ``x``'s dtype.
 
     The mask is ``philox(*key).random(shape, dtype=np.float32) >= p`` read
     off the raw words behind that draw: float i is ``(w_i >> 8) / 2**24`` for
     32-bit word i (the low half of each 64-bit output first), so it reaches
     ``float32(p)`` exactly when ``w_i >= k << 8``, ``k = ceil(float32(p) * 2**24)``.
-    ``(a * keep) * s`` has the bits of ``a * where(keep, s, 0)``, even where
-    ``a * s`` overflows.
     """
-    if p == 0.0:
-        return a
     if not 0.0 <= p < 1.0:
         raise EngineError(f"dropout: p={p} outside [0, 1)")
-    n = a.data.size
+    n = x.size
     raw = philox(*key).bit_generator.random_raw((n + 1) // 2)
     words = raw.astype("<u8", copy=False).view("<u4")[:n]
     # where p rounds to 1 in float32, k << 8 is 2**32 and no word reaches it
     k = math.ceil(float(np.float32(p)) * 2**24)
-    keep = (words >= k << 8).reshape(a.data.shape)
-    s = a.data.dtype.type(1.0 / (1.0 - p))
+    return (words >= k << 8).reshape(x.shape), x.dtype.type(1.0 / (1.0 - p))
+
+
+def _drop(x: np.ndarray, keep: np.ndarray, s, out=None) -> np.ndarray:
+    """``(x * keep) * s``: the bits of ``x * where(keep, s, 0)``, even where
+    ``x * s`` overflows."""
+    out = np.multiply(x, keep, out=out)
+    out *= s
+    return out
+
+
+def dropout(a: Tensor, p: float, key: tuple) -> Tensor:
+    """Inverted dropout with a counter-based mask (``_keep_mask``).
+
+    ``key`` is a tuple of ints, conventionally (run seed, dropout-site id,
+    step); the mask is a pure function of it, so replaying a step
+    reproduces the mask exactly.  ``p == 0`` (eval mode) is the identity
+    and returns ``a`` itself.  The closure keeps the boolean mask, not a float copy.
+    """
+    if p == 0.0:
+        return a
+    keep, s = _keep_mask(a.data, p, key)
     na = a.node
 
     def bwd(g):
-        ga = g * keep
-        ga *= s
-        accumulate(na, ga)
+        accumulate(na, _drop(g, keep, s))
 
-    out = a.data * keep
-    out *= s
-    return make_node(out, "dropout", (a,), bwd)
+    return make_node(_drop(a.data, keep, s), "dropout", (a,), bwd)
+
+
+def dropout_matmul(a: Tensor, v: Tensor, p: float, key: tuple) -> Tensor:
+    """``matmul(dropout(a, p, key), v)`` as one node, with the same mask and bits.
+
+    The closure keeps ``a``'s own array, the boolean mask and ``v``, not the
+    dropped copy of ``a``: backward forms that copy again for ``v``'s
+    gradient.  Attention weights are thus held once, by their ``softmax``
+    node and this one together.  ``p == 0`` (eval mode) is ``matmul(a, v)``.
+    """
+    if p == 0.0:
+        return matmul(a, v)
+    keep, s = _keep_mask(a.data, p, key)
+    ad, vd = a.data, v.data
+    try:
+        out = np.matmul(_drop(ad, keep, s), vd)
+    except ValueError:
+        raise ShapeError(f"dropout_matmul: shapes {ad.shape} x {vd.shape} do not conform")
+    na, nv = a.node, v.node
+
+    def bwd(g):
+        # v's gradient first, so that the dropped copy is freed before a's
+        # gradient is formed
+        accumulate(nv, _unbroadcast(np.matmul(np.swapaxes(_drop(ad, keep, s), -1, -2), g),
+                                    vd.shape))
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(vd, -1, -2)), ad.shape)
+        accumulate(na, _drop(ga, keep, s, out=ga))
+
+    return make_node(out, "dropout_matmul", (a, v), bwd)
 
 
 def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
@@ -321,6 +358,7 @@ _DISPATCH = {
     "layer_norm": layer_norm,
     "relu": relu,
     "dropout": dropout,
+    "dropout_matmul": dropout_matmul,
     "masked_fill": masked_fill,
     "cross_entropy": cross_entropy,
 }

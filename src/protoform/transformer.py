@@ -145,6 +145,14 @@ def collate(examples) -> Batch:
     return Batch(src, pos, lang, pad, tgt)
 
 
+def _same_names(what: str, given, expected) -> None:
+    """Raise naming what ``given`` has beyond ``expected`` or lacks of it."""
+    for how, odd in (("unknown", set(given) - set(expected)),
+                     ("missing", set(expected) - set(given))):
+        if odd:
+            raise E.EngineError(f"{how} {what} {', '.join(sorted(odd))}")
+
+
 @dataclass
 class _DropCtx:
     """Keys every dropout site by (run seed, site id, step)."""
@@ -154,6 +162,10 @@ class _DropCtx:
 
     def __call__(self, t, site: int):
         return E.dropout(t, self.p, (self.seed, site, self.step))
+
+    def matmul(self, t, v, site: int):
+        """``matmul(self(t, site), v)`` as one node."""
+        return E.dropout_matmul(t, v, self.p, (self.seed, site, self.step))
 
 
 _EVAL = _DropCtx(seed=0, step=0, p=0.0)
@@ -212,10 +224,7 @@ class Model:
         """Adopt ``state``, which must name exactly the table's parameters,
         each with its shape; on a mismatch nothing changes."""
         table = self.param_table()
-        names = {name for name, _, _ in table}
-        for what, odd in (("unknown", set(state) - names), ("missing", names - set(state))):
-            if odd:
-                raise E.EngineError(f"{what} parameter(s) {', '.join(sorted(odd))}")
+        _same_names("parameter(s)", state, [name for name, _, _ in table])
         params = {}
         for name, shape, _ in table:
             t = params[name] = E.Tensor(state[name], requires_grad=True, dtype=self.dtype)
@@ -255,8 +264,7 @@ class Model:
         scores = E.scale(E.matmul(q, k), 1.0 / np.sqrt(dh))
         if fill_mask is not None:
             scores = E.masked_fill(scores, fill_mask, -np.inf)
-        attn = drop(E.softmax(scores), site)
-        out = E.matmul(attn, v)
+        out = drop.matmul(E.softmax(scores), v, site)
         out = E.reshape(E.transpose(out, (0, 2, 1, 3)), (B, Tq, d))
         return self._linear(out, f"{prefix}.wo", f"{prefix}.bo")
 
@@ -347,27 +355,8 @@ def greedy_decode(model: Model, examples, max_len: int):
     an empty word (callers flag those).
     """
     words = []
-    banned = [PAD_ID, BOS_ID, UNK_ID]
     for start in range(0, len(examples), DECODE_CHUNK):
-        group = examples[start:start + DECODE_CHUNK]
-        batch = collate(group)
-        B = len(group)
-        with E.no_grad():
-            memory = model.encode_batch(batch)
-            cache = []
-            ys = np.full((B, 1), BOS_ID, dtype=np.int64)
-            done = np.zeros(B, dtype=bool)
-            for _ in range(max_len):
-                logits = model.decode_batch(memory, ys, batch.src_pad, cache=cache)
-                last = logits.data[:, -1, :]   # masked in place: nothing else reads them
-                last[:, banned] = -np.inf
-                nxt = np.argmax(last, axis=-1)
-                nxt[done] = EOS_ID
-                ys = np.concatenate([ys, nxt[:, None]], axis=1)
-                done |= nxt == EOS_ID
-                if done.all():
-                    break
-        for row in ys:
+        for row in _greedy_chunk(model, collate(examples[start:start + DECODE_CHUNK]), max_len):
             toks = []
             for idx in row[1:]:
                 if idx == EOS_ID:
@@ -375,6 +364,30 @@ def greedy_decode(model: Model, examples, max_len: int):
                 toks.append(model.vocab.tgt_token(int(idx)))
             words.append(tuple(toks))
     return words
+
+
+def _greedy_chunk(model: Model, batch: Batch, max_len: int) -> np.ndarray:
+    """BOS and the greedy tokens of every row of ``batch``, (B, 1 + steps).
+    The chunk's memory, cache and logits die on return, before the next
+    chunk is encoded."""
+    B = batch.src.shape[0]
+    banned = [PAD_ID, BOS_ID, UNK_ID]
+    with E.no_grad():
+        memory = model.encode_batch(batch)
+        cache = []
+        ys = np.full((B, 1), BOS_ID, dtype=np.int64)
+        done = np.zeros(B, dtype=bool)
+        for _ in range(max_len):
+            logits = model.decode_batch(memory, ys, batch.src_pad, cache=cache)
+            last = logits.data[:, -1, :]   # masked in place: nothing else reads them
+            last[:, banned] = -np.inf
+            nxt = np.argmax(last, axis=-1)
+            nxt[done] = EOS_ID
+            ys = np.concatenate([ys, nxt[:, None]], axis=1)
+            done |= nxt == EOS_ID
+            if done.all():
+                break
+    return ys
 
 
 def extract_language_embeddings(model: Model) -> dict:
@@ -390,8 +403,10 @@ def _distinct_strings(value) -> bool:
 
 _TOKEN_LIST = (lambda v: _distinct_strings(v) and tuple(v[:len(SPECIALS)]) == SPECIALS,
                f"a list of distinct strings starting with {', '.join(SPECIALS)}")
-# what ``TrainedModel.load`` accepts for each sidecar key but ``config``
+# what ``TrainedModel.load`` accepts for each sidecar key; ``config`` must
+# also hold exactly the fields of ``TransformerConfig``, each checked by it
 _SIDECAR = {
+    "config": (lambda v: type(v) is dict, "an object"),
     "max_decode_len": (lambda v: type(v) is int and 1 <= v <= MAX_SOURCE_LEN,
                        f"an integer from 1 to {MAX_SOURCE_LEN}"),
     "languages": (_distinct_strings, "a list of distinct strings"),
@@ -443,6 +458,8 @@ class TrainedModel:
         for key, (ok, what) in _SIDECAR.items():
             if not ok(sidecar[key]):
                 raise E.EngineError(f"{key} {reprlib.repr(sidecar[key])} is not {what}")
+        # a missing field would take its default and change the model
+        _same_names("config key(s)", sidecar["config"], [f.name for f in fields(TransformerConfig)])
         cfg = TransformerConfig(**sidecar["config"])
         vocab = Vocabulary(sidecar["source_tokens"], sidecar["target_tokens"])
         languages = [LanguageId(name, i) for i, name in enumerate(sidecar["languages"])]

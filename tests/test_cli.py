@@ -310,6 +310,15 @@ class TestTrainEvaluate:
             args = ["probe", "--checkpoints", ckpts, "--seeds", "1@0"]
         assert run(args + ["--out", tmp_path / command]) == 0
 
+    @pytest.mark.parametrize("command", ["evaluate", "probe"])
+    @pytest.mark.parametrize("key", sorted(cli.T.TransformerConfig.__dataclass_fields__))
+    def test_config_without_a_field_exit_2(self, workdir, tmp_path, capsys, key, command):
+        # a missing field would rebuild the model with that field's default
+        name = f"config_no_{key}_{command}"
+        err = self._fails_on_sidecar(workdir, tmp_path, capsys, command, name,
+                                     lambda sidecar: sidecar["config"].pop(key))
+        assert err == f"error: cannot load {workdir / name / 'seed0'}: missing config key(s) {key}"
+
     CONFIG_TYPES = {"n_heads": True, "batch_size": True, "d_model": 16.0, "lr": "0.001"}
 
     @pytest.mark.parametrize("command", ["evaluate", "probe"])
@@ -451,6 +460,32 @@ class TestBadConfig:
             ["train", "--config", str(ini), "--preset", "sinitic", "--out", "unused"])
         cp = cli._read_config(args.config)
         assert cli.transformer_config_from(args, cp) == cli.T.SINITIC
+
+
+class TestIniSyntax:
+    """An INI file configparser cannot read ends in one line naming the
+    file, the line number and the reason, where configparser's own text
+    spans two or three lines."""
+
+    CASES = {
+        "no-section": ("d_model = 8\n", 1, "'d_model = 8' comes before any [section] header"),
+        "no-equals": ("[transformer]\nd_model = 8\nn_heads\n", 3,
+                      "'n_heads' is not a [section] header or a key = value line"),
+        "open-bracket": ("[transformer\nd_model = 8\n", 1,
+                         "'[transformer' comes before any [section] header"),
+    }
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_with_one_line(self, workdir, tmp_path, capsys, case, command):
+        text, lineno, reason = self.CASES[case]
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text, encoding="utf-8")
+        args = [command, "--dataset", workdir / "toy.tsv", "--config", ini, "--seeds", "1@0"]
+        if command == "evaluate":
+            args += ["--checkpoints", workdir / "run"]
+        err = run_fails(args + ["--out", tmp_path / "out"], 2, capsys)
+        assert err == f"error: {ini}, line {lineno}: {reason}"
 
 
 class TestBadCorpusConfig:

@@ -178,6 +178,60 @@ class TestDropoutWords:
             assert E.dropout(one, float(above), key=key).data[0] == 0, seed
 
 
+class TestDropoutMatmul:
+    """``dropout_matmul(a, v)`` is ``matmul(dropout(a), v)`` in one node that
+    keeps ``a``'s own array, not the dropped copy."""
+
+    P, KEY = 0.1708861, (3, 10, 7)   # the Sinitic preset's dropout rate
+
+    @staticmethod
+    def leaves(a_shape, v_shape, dtype):
+        rng = E.philox(0xD3A7, *a_shape)
+        a = E.Tensor(rng.uniform(0, 1, a_shape), requires_grad=True, dtype=dtype)
+        v = E.Tensor(rng.uniform(-1, 1, v_shape), requires_grad=True, dtype=dtype)
+        g = rng.uniform(-1, 1, a_shape[:-1] + v_shape[-1:]).astype(dtype)
+        return a, v, g
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("a_shape, v_shape", [
+        ((32, 8, 71, 71), (32, 8, 71, 16)),   # the S = 71 Sinitic encoder batch
+        ((3, 3, 5, 7), (3, 3, 7, 5)),         # 315 weights: the last word half used
+        ((1, 1, 1, 3), (1, 1, 3, 2)),
+    ])
+    def test_forward_and_both_gradients_bit_equal(self, a_shape, v_shape, dtype):
+        a, v, g = self.leaves(a_shape, v_shape, dtype)
+        dropped = E.dropout(a, self.P, self.KEY)
+        ref = E.matmul(dropped, v)
+        ref.node.backward(g)
+        dropped.node.backward(dropped.grad)
+        want = ref.data, a.grad, v.grad
+        a, v, g = self.leaves(a_shape, v_shape, dtype)
+        out = E.dropout_matmul(a, v, self.P, self.KEY)
+        out.node.backward(g)
+        for got, ref in zip((out.data, a.grad, v.grad), want):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(bits(got), bits(ref))
+
+    def test_eval_mode_is_a_matmul_node(self, monkeypatch):
+        a, v, _ = self.leaves((2, 3, 4), (2, 4, 5), np.float64)
+        built = record_nodes(monkeypatch)
+        out = E.dropout_matmul(a, v, 0.0, self.KEY)
+        assert built == {"matmul": 1}
+        np.testing.assert_array_equal(out.data, np.matmul(a.data, v.data))
+
+    def test_node_keeps_the_softmax_output_itself(self):
+        scores, v, _ = self.leaves((2, 3, 5, 5), (2, 3, 5, 4), np.float64)
+        weights = E.softmax(scores)
+        out = E.dropout_matmul(weights, v, self.P, self.KEY)
+        held = [c.cell_contents for c in out.node.backward.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        like_weights = [x for x in held if np.issubdtype(x.dtype, np.floating)
+                        and x.shape == weights.data.shape]
+        assert len(like_weights) == 1 and like_weights[0] is weights.data
+        softmax_held = [c.cell_contents for c in weights.node.backward.__closure__]
+        assert any(x is weights.data for x in softmax_held)
+
+
 def _uniform(shape, lo=-1.0):
     return lambda rng: rng.uniform(lo, 1, shape)
 
@@ -186,6 +240,11 @@ X = (2, 5, 6)
 # op name: (how to draw each input, the op over the input tensors)
 ALIAS_CASES = {
     "dropout": ([_uniform(X)], lambda t: E.dropout(t[0], 0.3, key=(1, 2, 3))),
+    "dropout_matmul": ([_uniform(X), _uniform((2, 6, 4))],
+                       lambda t: E.dropout_matmul(*t, 0.3, key=(1, 2, 3))),
+    # _unbroadcast sums v's gradient over the batch axis
+    "dropout_matmul-broadcast-v": ([_uniform(X), _uniform((6, 4))],
+                                   lambda t: E.dropout_matmul(*t, 0.3, key=(1, 2, 3))),
     "linear": ([_uniform(X), _uniform((6, 4)), _uniform((4,))], lambda t: E.linear(*t)),
     "linear-bias-like-out": ([_uniform(X), _uniform((6, 4)), _uniform((2, 5, 4))],
                              lambda t: E.linear(*t)),
@@ -739,8 +798,10 @@ class TestOpSet:
 
     def test_node_count_of_one_training_step(self, built):
         # one encoder and one decoder layer: 17 affine layers and 5 layer
-        # norms, one node each
-        assert sum(built.values()) == 87
+        # norms, one node each; each of the 3 attention blocks applies its
+        # dropout within the product with the values
+        assert sum(built.values()) == 84
+        assert built["dropout_matmul"] == 3
         assert (built["linear"], built["layer_norm"], built["add"]) == (17, 5, 8)
 
 
@@ -779,7 +840,7 @@ class TestGraphKeepsWhatBackwardReads:
     def test_outputs_live_until_a_backward_has_read_them(self, step):
         loss, outputs, _ = step
         # the score chain, residual sums and relu outputs are read by no backward
-        for kind in ("matmul", "scale", "masked_fill", "add", "relu"):
+        for kind in ("matmul", "scale", "masked_fill", "add", "relu", "dropout_matmul"):
             assert all(ref() is None for ref in outputs[kind]), kind
         # softmax's backward reads its output
         assert all(ref() is not None for ref in outputs["softmax"])

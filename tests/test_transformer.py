@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import weakref
 from dataclasses import replace
 from importlib import resources
 
@@ -217,6 +218,48 @@ class TestDecoder:
         finally:
             E.set_default_dtype(prev)
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_fused_dropout_keeps_the_training_step(self, dtype, monkeypatch):
+        # Attention once applied dropout to its weights as a node of its
+        # own, then multiplied by the values; one ``dropout_matmul`` node now
+        # does both.  A Sinitic step keeps the bits of its loss and of every
+        # parameter gradient under that older attention.
+        prev = np.dtype(E.default_dtype()).name
+        E.set_default_dtype(dtype)
+        try:
+            ds, vocab, enc = sinitic_test_split(1)
+            batch = T.collate(enc[:32])
+            calls = []
+
+            def step():
+                model = T.Model(T.SINITIC, vocab, ds.languages)
+                loss = model.loss_batch(batch, T._DropCtx(0, 5, T.SINITIC.dropout_p))
+                E.backward(loss)
+                return loss.data.tobytes(), {n: p.grad.tobytes() for n, p in model.params.items()}
+
+            def unfused_attend(model, q_in, kv, fill_mask, prefix, drop, site):
+                calls.append(prefix)
+                H = model.cfg.n_heads
+                B, Tq, d = q_in.data.shape
+                dh = d // H
+                k, v = kv
+                q = model._linear(q_in, f"{prefix}.wq", f"{prefix}.bq")
+                q = E.transpose(E.reshape(q, (B, Tq, H, dh)), (0, 2, 1, 3))
+                scores = E.scale(E.matmul(q, k), 1.0 / np.sqrt(dh))
+                if fill_mask is not None:
+                    scores = E.masked_fill(scores, fill_mask, -np.inf)
+                attn = drop(E.softmax(scores), site)
+                out = E.matmul(attn, v)
+                out = E.reshape(E.transpose(out, (0, 2, 1, 3)), (B, Tq, d))
+                return model._linear(out, f"{prefix}.wo", f"{prefix}.bo")
+
+            fused = step()
+            monkeypatch.setattr(T.Model, "_attend", unfused_attend)
+            assert step() == fused
+            assert len(calls) == T.SINITIC.n_encoder_layers + 2 * T.SINITIC.n_decoder_layers
+        finally:
+            E.set_default_dtype(prev)
+
     def test_pad_memory_rows_get_zero_attention(self, toy):
         ds, vocab = toy
         model = T.Model(TINY, vocab, ds.languages)
@@ -290,6 +333,33 @@ class TestGreedyDecode:
         assert len(passes) > chunks
         assert built.count("masked_fill") == (chunks * cfg.n_encoder_layers
                                               + len(passes) * cfg.n_decoder_layers)
+
+    def test_a_chunk_is_freed_before_the_next_is_encoded(self, toy, monkeypatch):
+        ds, vocab = toy
+        model = T.Model(TINY, vocab, ds.languages)
+        enc = C.encode_dataset(ds, vocab)[:5]
+        words = T.greedy_decode(model, enc, 8)
+        monkeypatch.setattr(T, "DECODE_CHUNK", 2)
+        real_encode, real_decode = T.Model.encode_batch, T.Model.decode_batch
+        refs, alive_at_encode = [], []
+
+        def encode(self, batch, drop=T._EVAL):
+            alive_at_encode.append(sum(ref() is not None for ref in refs))
+            memory = real_encode(self, batch, drop)
+            refs.append(weakref.ref(memory.data))
+            return memory
+
+        def decode(self, memory, tgt_in, src_pad, drop=T._EVAL, cache=None):
+            logits = real_decode(self, memory, tgt_in, src_pad, drop, cache)
+            refs.append(weakref.ref(logits.data))
+            refs.extend(weakref.ref(t.data) for k, v, (ck, cv) in cache for t in (k, v, ck, cv))
+            return logits
+
+        monkeypatch.setattr(T.Model, "encode_batch", encode)
+        monkeypatch.setattr(T.Model, "decode_batch", decode)
+        assert T.greedy_decode(model, enc, 8) == words
+        # three chunks; the memory, logits and cache of each die before the next
+        assert alive_at_encode == [0, 0, 0] and len(refs) > 3
 
     def test_past_the_positional_table_raises(self, toy):
         # Greedy decoding asks for position 1,024 at its 1,025th step, one

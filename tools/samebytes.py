@@ -40,6 +40,10 @@ tree's ``src/``, each in a fresh directory:
   ``config.ini`` its ``train`` echoed: the only step that loads a preset's
   checkpoint, and the only one that loads a checkpoint in another dtype
   than it was trained in, as the ``evaluate`` benchmark does;
+- ``synth`` of a 700-set corpus from ``synth5.rules``, a ``train`` on it and
+  an ``evaluate`` of its 140-set test split: the only step whose greedy
+  decode runs more than one chunk of ``DECODE_CHUNK`` (128) rows, as the
+  ``evaluate`` benchmark's does;
 - ``gradcheck``, whose stdout prints every op's worst relative error.
 
 Every file written and every command's stdout are compared byte for byte.
@@ -199,6 +203,12 @@ STEPS = [
                            "--seed", "3", "--out-file", "romance60.tsv"]),
     ("train-romance", {}, ["train", "--dataset", "romance60.tsv", "--preset", "romance",
                            "--config", "one_epoch.ini", "--seeds", "1@0", "--out", "romance"]),
+    ("synth-700", {}, ["synth", "--rules", "{data}/synth5.rules", "--n-sets", "700",
+                       "--seed", "3", "--out-file", "toy700.tsv"]),
+    ("train-700", {}, ["train", "--dataset", "toy700.tsv", "--config", "tiny.ini",
+                       "--seeds", "1@0", "--out", "run700"]),
+    ("evaluate-700", {}, ["evaluate", "--dataset", "toy700.tsv", "--config", "tiny.ini",
+                          "--seeds", "1@0", "--checkpoints", "run700", "--out", "run700"]),
     ("gradcheck", {}, ["gradcheck"]),
 ]
 
