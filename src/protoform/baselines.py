@@ -148,7 +148,7 @@ class AlignedSet:
 @dataclass
 class AlignedSiteMatrix:
     sets: list
-    languages: list               # LanguageId order from the source dataset
+    lang_index: dict              # daughter name -> its column in the source dataset
 
 
 def _merge(rows: list, columns: list, word: Word, memo: dict) -> list:
@@ -208,14 +208,14 @@ def align_cognates(ds: Dataset) -> AlignedSiteMatrix:
     distinct (consensus, word) pair is aligned once per call."""
     if not ds.sets:
         raise BaselineError("cannot align an empty dataset")
-    lang_index = {l.name: l.index for l in ds.languages}
+    lang_index = {name: i for i, name in enumerate(ds.languages)}
     memo: dict = {}
     out = []
     for cs in ds.sets:
         aset, columns = align_daughters(cs, lang_index, memo)
         aset.proto_row = _merge(list(aset.rows.values()), columns, cs.proto, memo)
         out.append(aset)
-    return AlignedSiteMatrix(out, list(ds.languages))
+    return AlignedSiteMatrix(out, lang_index)
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +392,11 @@ def train_site_classifier(sites: AlignedSiteMatrix, kind: str,
     """Fit a correspondence-site classifier on aligned training columns."""
     if not sites.sets:
         raise BaselineError("no aligned sites to train on")
-    lang_index = {l.name: l.index for l in sites.languages}
     columns = training_columns(sites)
     if kind == "pattern":
-        clf = PatternClassifier(lang_index)
+        clf = PatternClassifier(sites.lang_index)
     elif kind == "linear":
-        clf = LinearClassifier(lang_index, seed)
+        clf = LinearClassifier(sites.lang_index, seed)
     else:
         raise BaselineError(f"unknown classifier kind {kind!r}")
     clf.fit(columns)

@@ -342,6 +342,11 @@ def cmd_evaluate(args) -> int:
     kinds = baseline_kinds(args.baselines) if args.baselines else []
     (train_ds, _, test_ds), corpus = load_splits(args, cp)
     trained = _load_trained(args.checkpoints or args.out, seeds)
+    for tm in trained:
+        if tm.model.languages != train_ds.languages:
+            raise ValidationFailure(
+                f"checkpoint daughters {','.join(tm.model.languages)} differ from this "
+                f"dataset's daughter columns {','.join(train_ds.languages)}")
     expected = C.build_vocab(train_ds)
     if any(tm.vocab != expected for tm in trained):
         raise ValidationFailure(

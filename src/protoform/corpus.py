@@ -73,12 +73,6 @@ def token_class(token: Token) -> str:
 
 
 @dataclass(frozen=True)
-class LanguageId:
-    name: str
-    index: int
-
-
-@dataclass(frozen=True)
 class CognateSet:
     set_id: str
     proto: Word
@@ -88,7 +82,7 @@ class CognateSet:
 @dataclass(frozen=True)
 class Dataset:
     sets: list
-    languages: list  # LanguageId, dense indices 0..L-1 in column order
+    languages: list  # daughter names in column order; a language's index is its position
     proto_name: str
 
     def __len__(self) -> int:
@@ -197,7 +191,6 @@ def parse_dataset(tsv_text: str, options: ParseOptions = ParseOptions()) -> Data
     daughter_names = [c for c in col_names if c != proto_name]
     if not daughter_names:
         raise SchemaError("no daughter columns")
-    languages = [LanguageId(name, i) for i, name in enumerate(daughter_names)]
 
     # Cells repeat from row to row and column to column, so each distinct
     # cell is tokenized once: to its tokens, or to None when it is empty.
@@ -231,7 +224,7 @@ def parse_dataset(tsv_text: str, options: ParseOptions = ParseOptions()) -> Data
         if not daughters:
             continue
         sets.append(CognateSet(cells[0].strip(), proto, daughters))
-    return Dataset(sets, languages, proto_name)
+    return Dataset(sets, daughter_names, proto_name)
 
 
 @dataclass(frozen=True)
@@ -308,14 +301,14 @@ def encode_cognate_set(cs: CognateSet, vocab: Vocabulary, ds: Dataset) -> Encode
     """Concatenate the present daughters in the dataset's fixed language
     order; positions restart per daughter, language ids mark the spans."""
     source, positions, languages = [], [], []
-    for lang in ds.languages:
-        word = cs.daughters.get(lang.name)
+    for index, name in enumerate(ds.languages):
+        word = cs.daughters.get(name)
         if word is None:
             continue
         for i, tok in enumerate(word):
             source.append(vocab.src_id(tok))
             positions.append(i)
-            languages.append(lang.index)
+            languages.append(index)
     if not source:
         raise CorpusError(f"cognate set {cs.set_id!r} has no present daughters")
     target = [BOS_ID] + [vocab.tgt_id(t) for t in cs.proto] + [EOS_ID]

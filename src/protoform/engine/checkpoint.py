@@ -2,8 +2,10 @@
 
 One file: an ASCII manifest (one line per tensor: name, shape, byte
 offset into the payload, element count), a line reading ``end``, then the
-raw payload of little-endian 64-bit reals.  Values are stored as float64
-regardless of the engine's active dtype.
+raw payload of little-endian 64-bit reals.  The tensors tile the payload
+in manifest order: each starts where the one before it ends, and the last
+ends the file.  Values are stored as float64 regardless of the engine's
+active dtype.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     if not lines or lines[0] != MAGIC:
         raise EngineError(f"checkpoint {path}: bad magic")
     out: dict[str, np.ndarray] = {}
+    end = 0   # where the tensors so far end in the payload
     for line in lines[1:]:
         try:
             kind, name, shape_s, offset_s, count_s = line.split(" ")
@@ -57,6 +60,11 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
             raise EngineError(f"checkpoint {path}: malformed manifest line {line!r}")
         if kind != "tensor" or min(shape + (offset, count)) < 0 or int(np.prod(shape)) != count:
             raise EngineError(f"checkpoint {path}: unexpected manifest line {line!r}")
+        if name in out:
+            raise EngineError(f"checkpoint {path}: tensor {name!r} is listed twice")
+        if offset != end:
+            raise EngineError(f"checkpoint {path}: tensor {name!r} starts at byte {offset} "
+                              f"of the payload, not at byte {end} where the one before it ends")
         if start + offset + 8 * count > len(raw):
             raise EngineError(
                 f"checkpoint {path}: tensor {name!r} runs past the end of the "
@@ -66,4 +74,7 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         if not np.isfinite(arr).all():
             raise EngineError(f"checkpoint {path}: tensor {name!r} holds a NaN or an infinity")
         out[name] = arr.reshape(shape).copy()
+        end += 8 * count
+    if start + end != len(raw):
+        raise EngineError(f"checkpoint {path}: {len(raw) - start - end} byte(s) past the last tensor")
     return out

@@ -30,21 +30,20 @@ class DistanceMatrix:
 
 
 def cosine_distance_matrix(embeddings: dict) -> DistanceMatrix:
-    """1 - cosine similarity for every pair of LanguageId keys, in index order."""
-    keys = sorted(embeddings, key=lambda k: k.index)
+    """1 - cosine similarity for every pair of named languages, in the dict's order."""
     vecs = []
-    for k in keys:
-        v = np.asarray(embeddings[k], dtype=np.float64)
+    for name, vector in embeddings.items():
+        v = np.asarray(vector, dtype=np.float64)
         norm = np.linalg.norm(v)
         if norm == 0.0:
-            raise PhyloError(f"zero-norm embedding for {k.name!r}")
+            raise PhyloError(f"zero-norm embedding for {name!r}")
         vecs.append(v / norm)
     n = len(vecs)
     d = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             d[i, j] = d[j, i] = 1.0 - float(np.dot(vecs[i], vecs[j]))
-    return DistanceMatrix([k.name for k in keys], d)
+    return DistanceMatrix(list(embeddings), d)
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 from . import engine as E
 from .corpus import (
     BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID,
-    Dataset, LanguageId, Vocabulary, encode_dataset,
+    Dataset, Vocabulary, encode_dataset,
 )
 from .engine.rng import DetRng, mix64, philox
 from .engine.optim import AdamState, adam_step
@@ -391,9 +391,9 @@ def _greedy_chunk(model: Model, batch: Batch, max_len: int) -> np.ndarray:
 
 
 def extract_language_embeddings(model: Model) -> dict:
-    """Copies of the language embedding table rows, keyed by LanguageId."""
+    """Copies of the language embedding table rows, keyed by name in table order."""
     table = model.params["lang_emb"].data
-    return {lang: table[lang.index].copy() for lang in model.languages}
+    return {name: row.copy() for name, row in zip(model.languages, table)}
 
 
 def _distinct_strings(value) -> bool:
@@ -438,7 +438,7 @@ class TrainedModel:
             "config": asdict(self.config),
             "source_tokens": list(self.vocab.source_tokens),
             "target_tokens": list(self.vocab.target_tokens),
-            "languages": [l.name for l in self.model.languages],
+            "languages": self.model.languages,
             "proto_name": self.proto_name,
             "best_epoch": self.best_epoch,
             "best_val_ped": self.best_val_ped,
@@ -462,8 +462,7 @@ class TrainedModel:
         _same_names("config key(s)", sidecar["config"], [f.name for f in fields(TransformerConfig)])
         cfg = TransformerConfig(**sidecar["config"])
         vocab = Vocabulary(sidecar["source_tokens"], sidecar["target_tokens"])
-        languages = [LanguageId(name, i) for i, name in enumerate(sidecar["languages"])]
-        model = Model(cfg, vocab, languages, state=E.load_checkpoint(prefix + ".ckpt"))
+        model = Model(cfg, vocab, sidecar["languages"], state=E.load_checkpoint(prefix + ".ckpt"))
         return cls(model, cfg, vocab, sidecar["history"], sidecar["best_epoch"],
                    sidecar["best_val_ped"], sidecar["max_decode_len"], sidecar["proto_name"])
 

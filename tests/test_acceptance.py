@@ -304,8 +304,7 @@ def test_c7_romance_loader_format():
     ds = C.parse_dataset(MELONI_STYLE, opts)
     checks = {
         "five daughters in column order":
-            [l.name for l in ds.languages] == ["Romanian", "French", "Italian",
-                                               "Spanish", "Portuguese"],
+            ds.languages == ["Romanian", "French", "Italian", "Spanish", "Portuguese"],
         "proto column selected by name": ds.proto_name == "Latin",
         "all rows kept": len(ds.sets) == 5,
         "missing cell handled": "Romanian" not in ds.sets[2].daughters,

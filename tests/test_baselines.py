@@ -10,7 +10,7 @@ import pytest
 from protoform import baselines as B
 from protoform import corpus
 from protoform import synth as S
-from protoform.corpus import CognateSet, Dataset, LanguageId, parse_dataset, split_dataset
+from protoform.corpus import CognateSet, Dataset, parse_dataset, split_dataset
 from protoform.engine.rng import DetRng, mix64, philox
 from protoform.metrics import GAP, nw_align
 
@@ -225,11 +225,11 @@ def brute_force_msa_cost(words):
 
 class TestAlignment:
     def _ds(self, rows):
-        langs = [LanguageId(f"L{i}", i) for i in range(len(rows[0][1]))]
+        langs = [f"L{i}" for i in range(len(rows[0][1]))]
         sets = []
         for sid, daughters, proto in rows:
             sets.append(CognateSet(sid, proto,
-                                   {langs[i].name: d for i, d in enumerate(daughters) if d}))
+                                   {langs[i]: d for i, d in enumerate(daughters) if d}))
         return Dataset(sets, langs, "P")
 
     def test_identical_rows_no_gaps(self):
@@ -310,7 +310,7 @@ def old_align_daughters(cs, lang_index):
 
 def old_align_cognates(ds):
     """(set id, rows, proto row) per set."""
-    lang_index = {l.name: l.index for l in ds.languages}
+    lang_index = {name: i for i, name in enumerate(ds.languages)}
     out = []
     for cs in ds.sets:
         rows = old_align_daughters(cs, lang_index)
@@ -332,14 +332,14 @@ def tie_heavy_sets(n_sets=300):
     wrong tie rule or a missed mode update shows only on these sets."""
     rng = DetRng(mix64(0xA119, 0))
     alphabet = ("a", "i", "t")
-    langs = [LanguageId(f"L{i}", i) for i in range(6)]
+    langs = [f"L{i}" for i in range(6)]
 
     def word():
         return tuple(alphabet[rng.randint(3)] for _ in range(1 + rng.randint(6)))
 
     sets = []
     for k in range(n_sets):
-        daughters = {l.name: word() for l in langs if rng.randint(4)}
+        daughters = {name: word() for name in langs if rng.randint(4)}
         sets.append(CognateSet(f"r{k}", word(), daughters or {"L0": word()}))
     return Dataset(sets, langs, "P")
 
@@ -353,6 +353,7 @@ class TestAlignmentEquivalence:
     def test_rows_and_proto_rows_equal(self, name):
         ds = self.CORPORA[name]()
         sites = B.align_cognates(ds)
+        assert sites.lang_index == {name: i for i, name in enumerate(ds.languages)}
         old = old_align_cognates(ds)
         assert len(sites.sets) == len(old)
         for aset, (set_id, rows, proto_row) in zip(sites.sets, old):
@@ -397,12 +398,11 @@ class TestAlignmentEquivalence:
 
 class TestClassifiers:
     def _sites(self, triples, proto_rows):
-        langs = [LanguageId(n, i) for i, n in enumerate(("A", "B", "C"))]
         sets = []
         for k, (row, proto) in enumerate(zip(triples, proto_rows)):
             rows = {"A": list(row[0]), "B": list(row[1]), "C": list(row[2])}
             sets.append(B.AlignedSet(f"s{k}", rows, list(proto)))
-        return B.AlignedSiteMatrix(sets, langs)
+        return B.AlignedSiteMatrix(sets, {"A": 0, "B": 1, "C": 2})
 
     def test_deterministic_correspondence_both_kinds(self):
         # every training column shows t,t,z -> t
@@ -616,8 +616,8 @@ class TestLinearFitLoop:
     def test_weights_bit_equal(self, corpus_name, seed):
         train = {"sinitic": lambda: sinitic_splits()[0], "synth5": synth5_corpus,
                  "twelve": twelve_daughters}[corpus_name]()
-        columns = B.training_columns(B.align_cognates(train))
-        fast, _ = assert_fit_bit_equal(columns, seed, {l.name: l.index for l in train.languages})
+        sites = B.align_cognates(train)
+        fast, _ = assert_fit_bit_equal(B.training_columns(sites), seed, sites.lang_index)
         assert np.count_nonzero(fast.W) > 0
 
     @pytest.mark.parametrize("labels", ["one", "two"])
@@ -626,13 +626,13 @@ class TestLinearFitLoop:
         # one class: every column is "x"; two: a vowel against any other symbol
         train = {"sinitic": lambda: sinitic_splits()[0], "twelve": twelve_daughters}[
             corpus_name]()
+        sites = B.align_cognates(train)
         columns = [(atoms, "x" if labels == "one" or corpus.token_class(label) == "vowel"
-                    else "y") for atoms, label in B.training_columns(B.align_cognates(train))]
-        lang_index = {l.name: l.index for l in train.languages}
+                    else "y") for atoms, label in B.training_columns(sites)]
         if labels == "one":
-            assert_one_class_fit(columns, 1, lang_index)
+            assert_one_class_fit(columns, 1, sites.lang_index)
         else:
-            fast, _ = assert_fit_bit_equal(columns, 1, lang_index)
+            fast, _ = assert_fit_bit_equal(columns, 1, sites.lang_index)
             assert len(fast.classes) == 2
 
     @pytest.mark.parametrize("seed, labels", [(150, "x"), (150, "xy"), (3, "xy")])
@@ -659,8 +659,8 @@ class TestLinearFitLoop:
         # The scan nominates exactly the violating samples, and the set
         # covers a violation at a window's first sample, one at its last and
         # two in one window, the second found after the scan resumes.
-        train = sinitic_splits()[0]
-        columns = B.training_columns(B.align_cognates(train))
+        sites = B.align_cognates(sinitic_splits()[0])
+        columns = B.training_columns(sites)
         calls = []
         next_violation = B.LinearClassifier._next_violation
 
@@ -671,8 +671,7 @@ class TestLinearFitLoop:
 
         monkeypatch.setattr(B.LinearClassifier, "WINDOW", window)
         monkeypatch.setattr(B.LinearClassifier, "_next_violation", spy)
-        _, violations = assert_fit_bit_equal(columns, 0,
-                                             {l.name: l.index for l in train.languages})
+        _, violations = assert_fit_bit_equal(columns, 0, sites.lang_index)
         epoch, nominated = -1, []   # (epoch, position, start of its window)
         for start, pos in calls:
             epoch += start == 0

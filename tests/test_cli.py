@@ -56,6 +56,12 @@ def run_in(directory, args):
         os.chdir(cwd)
 
 
+def _moved(line: str, by: int) -> str:
+    """A checkpoint manifest line with its tensor's offset moved ``by`` bytes."""
+    kind, name, shape, offset, count = line.split(" ")
+    return " ".join([kind, name, shape, str(int(offset) + by), count])
+
+
 def run_fails(args, code, capsys):
     """Runs a command that must exit with ``code`` after one stderr line and
     leave no ``--out`` (or ``--out-file``) behind; returns the line."""
@@ -134,6 +140,22 @@ class TestTrainEvaluate:
                     "--seeds", "2@0", "--checkpoints", workdir / "run",
                     "--out", workdir / "evalbad"]) == 1
 
+    @pytest.mark.parametrize("case", ["swapped", "renamed"])
+    def test_evaluate_language_mismatch_exit_1(self, workdir, tmp_path, capsys, case):
+        # the vocabulary check passes: all daughters share one source table
+        lines = (workdir / "toy.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        if case == "swapped":   # the Alba and Bruna columns change places
+            text = "".join("\t".join([c[0], c[2], c[1], *c[3:]])
+                           for c in (line.split("\t") for line in lines))
+        else:
+            text = lines[0].replace("Alba", "Zeta") + "".join(lines[1:])
+        dataset = tmp_path / f"{case}.tsv"
+        dataset.write_text(text, encoding="utf-8")
+        err = run_fails(["evaluate", "--dataset", dataset, "--config", workdir / "tiny.ini",
+                         "--seeds", "2@0", "--checkpoints", workdir / "run",
+                         "--out", tmp_path / "eval"], 1, capsys)
+        assert "daughter columns Bruna,Alba," in err if case == "swapped" else "Zeta" in err
+
     def test_missing_dataset_exit_2(self, workdir):
         assert run(["train", "--dataset", workdir / "missing.tsv", "--seeds", "1@0",
                     "--out", workdir / "x"]) == 2
@@ -161,6 +183,25 @@ class TestTrainEvaluate:
                     "--out", workdir / "eval_truncated"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "truncated" in err[0]
+
+    # edits of the manifest lines and the payload; the first tensor is src_emb
+    LAYOUTS = {
+        "repeated": lambda m, p: (m[:2] + m[1:], p),
+        "gap": lambda m, p: (m[:2] + [_moved(m[2], 8)] + m[3:], p),
+        "overlap": lambda m, p: (m[:2] + [_moved(m[2], -8)] + m[3:], p),
+        "trailing": lambda m, p: (m, p + bytes(16)),
+    }
+
+    @pytest.mark.parametrize("command", ["evaluate", "probe"])
+    @pytest.mark.parametrize("case", sorted(LAYOUTS))
+    def test_bad_checkpoint_layout_exit_2(self, workdir, tmp_path, capsys, case, command):
+        ckpts = self._copy_run(workdir, f"layout_{case}_{command}")
+        path = ckpts / "seed0.ckpt"
+        head, sep, payload = path.read_bytes().partition(b"\nend\n")
+        lines, payload = self.LAYOUTS[case](head.decode("ascii").splitlines(), payload)
+        path.write_bytes("\n".join(lines).encode("ascii") + sep + payload)
+        err = self._fails_on(workdir, tmp_path, capsys, command, ckpts)
+        assert f"checkpoint {path}: " in err
 
     def test_corrupt_sidecar_exit_2(self, workdir, capsys):
         ckpts = self._copy_run(workdir, "corrupt_sidecar")

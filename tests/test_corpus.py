@@ -173,7 +173,7 @@ class TestParse:
     def test_basic_shape_and_missing_cell(self):
         ds = parse_dataset(SMALL_TSV)
         assert ds.proto_name == "Proto"
-        assert [l.name for l in ds.languages] == ["Nord", "Sud"]
+        assert ds.languages == ["Nord", "Sud"]   # the header's daughters
         assert len(ds.sets) == 3
         assert "Nord" not in ds.sets[1].daughters
         assert ds.sets[1].daughters["Sud"] == ("p", "a", "n")
@@ -197,7 +197,7 @@ class TestParse:
     def test_proto_column_selectable(self):
         ds = parse_dataset(SMALL_TSV, ParseOptions(proto_column="Nord"))
         assert ds.proto_name == "Nord"
-        assert [l.name for l in ds.languages] == ["Sud", "Proto"]
+        assert ds.languages == ["Sud", "Proto"]
 
     def test_column_count_mismatch_reports_line(self):
         with pytest.raises(ParseError, match="line 3"):
@@ -251,7 +251,7 @@ class TestVocab:
         assert v.source_index["<pad>"] == PAD_ID == 0
 
     def test_empty_dataset_rejected(self):
-        ds = corpus.Dataset([], [corpus.LanguageId("A", 0)], "P")
+        ds = corpus.Dataset([], ["A"], "P")
         with pytest.raises(CorpusError):
             build_vocab(ds)
 

@@ -671,6 +671,31 @@ class TestCheckpoint:
         assert loaded["a"].flags.owndata and loaded["a"].flags.writeable
 
 
+    # "a" is 24 bytes at offset 0, "b" 16 bytes at offset 24
+    LAYOUTS = {
+        "repeated": (lambda m, p: (m[:2] + m[1:], p), "tensor 'a' is listed twice"),
+        "gap": (lambda m, p: (m[:2] + ["tensor b 2 32 2"], p[:24] + bytes(8) + p[24:]),
+                "tensor 'b' starts at byte 32 of the payload, not at byte 24 "
+                "where the one before it ends"),
+        "overlap": (lambda m, p: (m[:2] + ["tensor b 2 16 2"], p[:32]),
+                    "tensor 'b' starts at byte 16 of the payload, not at byte 24 "
+                    "where the one before it ends"),
+        "trailing": (lambda m, p: (m, p + bytes(16)), "16 byte(s) past the last tensor"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LAYOUTS))
+    def test_tensors_tile_the_payload(self, tmp_path, case):
+        path = tmp_path / "t.ckpt"
+        E.save_checkpoint(str(path), {"a": np.arange(3.0), "b": np.ones(2)})
+        head, sep, payload = path.read_bytes().partition(b"\nend\n")
+        edit, message = self.LAYOUTS[case]
+        lines, payload = edit(head.decode("ascii").splitlines(), payload)
+        path.write_bytes("\n".join(lines).encode("ascii") + sep + payload)
+        with pytest.raises(E.EngineError) as info:
+            E.load_checkpoint(str(path))
+        assert str(info.value) == f"checkpoint {path}: {message}"
+
+
 class TestDeterminism:
     def test_detrng_is_stable(self):
         # frozen draws guard the cross-platform contract for splits/shuffles

@@ -641,7 +641,7 @@ class TestLanguageEmbeddings:
         ds, vocab = toy
         model = T.Model(TINY, vocab, ds.languages)
         embs = T.extract_language_embeddings(model)
-        assert set(embs) == set(ds.languages)
+        assert list(embs) == model.languages == ds.languages   # table order
         assert all(v.shape == (TINY.d_model,) for v in embs.values())
 
     def test_untrained_equals_initialization_draw(self, toy):
@@ -653,8 +653,15 @@ class TestLanguageEmbeddings:
         rng.uniform(-bound, bound, (vocab.n_target, TINY.d_model))
         expected = rng.uniform(-bound, bound, (len(ds.languages), TINY.d_model))
         embs = T.extract_language_embeddings(model)
-        for lang in ds.languages:
-            np.testing.assert_array_equal(embs[lang], expected[lang.index].astype(embs[lang].dtype))
+        for index, name in enumerate(ds.languages):
+            np.testing.assert_array_equal(embs[name], expected[index].astype(embs[name].dtype))
+
+    def test_keys_follow_the_table_not_the_names(self, toy):
+        _, vocab = toy
+        model = T.Model(TINY, vocab, ["B", "A"])
+        embs = T.extract_language_embeddings(model)
+        assert list(embs) == ["B", "A"]
+        np.testing.assert_array_equal(embs["B"], model.params["lang_emb"].data[0])
 
     def test_copies_are_detached(self, toy):
         ds, vocab = toy

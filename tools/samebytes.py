@@ -31,6 +31,10 @@ tree's ``src/``, each in a fresh directory:
   ``stress = strip`` plus ``strip_length = true``, so that every branch of
   the phonetic tokenizer but its errors and tone runs (which the
   monosyllabic corpus has) reaches a compared file;
+- ``train`` and ``probe`` on ``IPA_TSV``, whose daughter columns run
+  ``Ita, Spa, Fra``: every other corpus lists its daughters in name order,
+  so only these steps show a change that orders languages by name rather
+  than by column;
 - ``synth`` of 60-set corpora from ``sinitic_style.rules`` and
   ``synth5.rules``, and one epoch of ``train --preset sinitic`` and of
   ``train --preset romance`` on them: the only steps at the presets'
@@ -192,6 +196,10 @@ STEPS = [
                                 "--out", "ipa_strip"]),
     ("baseline-ipa-strip-length", {}, ["baseline", "--dataset", "ipa.tsv",
                                        "--config", "strip_length.ini", "--out", "ipa_strip_length"]),
+    ("train-ipa", {}, ["train", "--dataset", "ipa.tsv", "--config", "tiny.ini",
+                       "--seeds", "1@0", "--out", "ipa_run"]),
+    ("probe-ipa", {}, ["probe", "--checkpoints", "ipa_run", "--seeds", "1@0",
+                       "--out", "ipa_probe"]),
     ("synth-sinitic", {}, ["synth", "--rules", "{data}/sinitic_style.rules", "--n-sets", "60",
                            "--seed", "3", "--out-file", "sinitic60.tsv"]),
     ("train-sinitic", {}, ["train", "--dataset", "sinitic60.tsv", "--preset", "sinitic",
